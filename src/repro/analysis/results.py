@@ -95,6 +95,9 @@ def _spec_to_dict(spec: ExperimentSpec) -> dict:
 def _spec_from_dict(data: dict) -> ExperimentSpec:
     data = dict(data)
     data["detector"] = DetectorConfig(**data["detector"])
+    # Schema-v2 files may carry the retired Hölder engine selector; it
+    # never changed an output, so it is dropped.
+    data.pop("holder_engine", None)
     return ExperimentSpec(**data)
 
 

@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "each cell as one struct-of-arrays fleet "
                            "(statistically equivalent counters, order-of-"
                            "magnitude faster at fleet scale)")
-    camp.add_argument("--holder-engine", default="batch",
-                      metavar="NAME",
-                      help="registered Hölder engine analysing each run's "
-                           "trace (batch/sliding/online; full-window "
-                           "estimates are identical across engines, so "
-                           "payloads are bit-identical; "
-                           "default: %(default)s)")
     camp.add_argument("--out", default=None, help="optional JSON output path")
     camp.add_argument("--detectors", default=None, metavar="NAME[,NAME...]",
                       help="run the scenario cells once per named detector "
@@ -360,15 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     wat.add_argument("--calibration", type=int, default=10,
                      help="monitor: indicator points used to calibrate "
                           "the detector (default: %(default)s)")
-    from .core.engines import holder_engine_names
-
-    wat.add_argument("--engine", choices=holder_engine_names(),
-                     default="sliding",
-                     help="registered Hölder engine: 'sliding'/'online' "
-                          "compute only the indicator-window tail per emit "
-                          "(same points to machine precision, a fraction "
-                          "of the CWT work); 'batch' recomputes the full "
-                          "history window (default: %(default)s)")
     wat.add_argument("--quiet", action="store_true",
                      help="suppress live status lines on stdout")
     wat.add_argument("--status-port", type=int, default=None, metavar="PORT",
@@ -612,7 +596,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 profile=args.profile, n_runs=args.runs,
                 base_seed=args.base_seed,
                 max_run_seconds=args.max_seconds, engine=args.engine,
-                holder_engine=args.holder_engine,
             ),
             ExperimentSpec(
                 name=f"{args.scenario}-healthy", scenario=args.scenario,
@@ -620,7 +603,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 base_seed=args.base_seed + 1000, fault_factor=0.0,
                 max_run_seconds=min(args.max_seconds, 15_000.0),
                 engine=args.engine,
-                holder_engine=args.holder_engine,
             ),
         ]
     except ValidationError as exc:
@@ -1067,13 +1049,16 @@ def cmd_watch(args: argparse.Namespace) -> int:
     from .obs.atomic import atomic_write
     from .obs.live import EventStreamWriter, LiveWatcher
 
-    monitor = OnlineAgingMonitor(
-        chunk_size=args.chunk_size,
-        history=args.history,
-        indicator_window=args.indicator_window,
-        n_calibration=args.calibration,
-        holder_engine=args.engine,
-    )
+    try:
+        monitor = OnlineAgingMonitor(
+            chunk_size=args.chunk_size,
+            history=args.history,
+            indicator_window=args.indicator_window,
+            n_calibration=args.calibration,
+        )
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     engine = None
     if args.alerts:
         try:

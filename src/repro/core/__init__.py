@@ -4,11 +4,10 @@ Pipeline stages, each its own module:
 
 :mod:`.holder`
     Pointwise (local) Hölder exponent estimation — the wavelet-modulus
-    estimator (regression of ``log |W(a, t)|`` across fine scales) and
-    the direct oscillation estimator, plus windowed Hölder *trajectories*.
-:mod:`.engines`
-    The :class:`~repro.core.engines.HolderEngine` protocol and name
-    registry unifying the batch, sliding and online estimation routes.
+    estimator (regression of ``log |W(a, t)|`` across fine scales), its
+    truncated newest-exponents form ``holder_tail`` for the online
+    monitor, and the direct oscillation estimator, plus windowed Hölder
+    *trajectories*.
 :mod:`.indicators`
     Aging indicators derived from the Hölder trajectory: the windowed
     second moment (the paper's headline statistic), windowed mean, and
@@ -24,17 +23,11 @@ Pipeline stages, each its own module:
 
 from .holder import (
     local_holder,
+    holder_tail,
     holder_trajectory,
     HolderTrajectory,
     oscillation_holder,
     wavelet_holder,
-)
-from .engines import (
-    HolderEngine,
-    HolderResult,
-    create_holder_engine,
-    holder_engine_names,
-    register_holder_engine,
 )
 from .indicators import (
     windowed_moments,
@@ -63,11 +56,7 @@ __all__ = [
     "HolderTrajectory",
     "oscillation_holder",
     "wavelet_holder",
-    "HolderEngine",
-    "HolderResult",
-    "create_holder_engine",
-    "holder_engine_names",
-    "register_holder_engine",
+    "holder_tail",
     "windowed_moments",
     "holder_variance_series",
     "holder_mean_series",

@@ -19,10 +19,16 @@ estimates in the FracLab tradition):
 Both return one exponent per sample.  :func:`holder_trajectory` applies
 an estimator over a sliding window and summarises each window, producing
 the (mean h, variance h) trajectories that the aging indicators consume.
+
+:func:`holder_tail` returns only the newest exponents of
+:func:`wavelet_holder` — what the online monitor reads per emit — from a
+short trailing segment, at a fraction of the CWT work.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,20 +76,91 @@ def wavelet_holder(
     cone that fits).
     """
     x = as_1d_float_array(values, name="values", min_length=64)
-    if max_scale <= min_scale:
-        raise ValidationError(f"max_scale ({max_scale}) must exceed min_scale ({min_scale})")
-    check_positive_int(n_scales, name="n_scales", minimum=3)
+    scales = _scale_band(min_scale, max_scale, n_scales)
     if max_scale > x.size / 4:
         raise ValidationError(
             f"max_scale ({max_scale}) too coarse for series of length {x.size}"
         )
+    return _modulus_slopes(x, scales, dog_order, cone_supremum)
+
+
+#: Margin between a truncated segment's left edge and the first exponent
+#: :func:`holder_tail` returns, in units of ``max_scale``: ten standard
+#: deviations of the DOG wavelet, where its amplitude is ~e^-50 — below
+#: double-precision resolution of the modulus it would perturb.
+SUPPORT_MARGIN = 10.0
+
+
+@profile("core.holder_tail")
+def holder_tail(
+    values,
+    tail: int,
+    *,
+    min_scale: float = 2.0,
+    max_scale: float = 32.0,
+    n_scales: int = 12,
+    dog_order: int = 2,
+    cone_supremum: bool = True,
+) -> np.ndarray:
+    """The newest ``tail`` exponents of :func:`wavelet_holder`.
+
+    Equals ``wavelet_holder(values, ...)[-tail:]`` to machine precision
+    while transforming only the trailing segment of
+    ``tail + round(max_scale) + ceil(SUPPORT_MARGIN * max_scale)``
+    samples (at least 64).  That is safe because:
+
+    * the CWT reflect-pads ``[x, reversed x]``, so the segment and the
+      full window share their right boundary extension exactly;
+    * every returned position sits ``SUPPORT_MARGIN * max_scale``
+      samples from the segment's left edge, where the wavelet has
+      decayed below double precision;
+    * the cone-supremum rolling max reads at most ``round(max_scale)``
+      neighbours, which the segment also covers.
+
+    What remains is FFT-size rounding in the modulus; the exponents agree
+    to ~1e-11 at the default scale band.  A window no longer than the
+    segment runs :func:`wavelet_holder` itself — there is nothing to
+    truncate.
+    """
+    x = as_1d_float_array(values, name="values", min_length=64)
+    check_positive_int(tail, name="tail", minimum=1)
+    scales = _scale_band(min_scale, max_scale, n_scales)
+    segment = max(tail + max(int(round(max_scale)), 1)
+                  + int(math.ceil(SUPPORT_MARGIN * max_scale)), 64)
+    if x.size <= segment:
+        h = wavelet_holder(x, min_scale=min_scale, max_scale=max_scale,
+                           n_scales=n_scales, dog_order=dog_order,
+                           cone_supremum=cone_supremum)
+        return h[-tail:]
+    return _modulus_slopes(x[-segment:], scales, dog_order, cone_supremum,
+                           tail=tail)
+
+
+@functools.lru_cache(maxsize=16)
+def _scale_band(min_scale: float, max_scale: float,
+                n_scales: int) -> np.ndarray:
+    """Validated log-spaced scale band of the wavelet estimators (cached
+    read-only: the online monitor asks for the same band every emit)."""
+    if max_scale <= min_scale:
+        raise ValidationError(f"max_scale ({max_scale}) must exceed min_scale ({min_scale})")
+    check_positive_int(n_scales, name="n_scales", minimum=3)
     scales = np.geomspace(min_scale, max_scale, n_scales)
+    scales.flags.writeable = False
+    return scales
+
+
+def _modulus_slopes(x: np.ndarray, scales: np.ndarray, dog_order: int,
+                    cone_supremum: bool, *, tail=None) -> np.ndarray:
+    """Wavelet modulus -> log2 -> per-sample slope on log2 scale, minus
+    1/2; only the last ``tail`` samples when given."""
     modulus = np.abs(cwt(x, scales, wavelet="dog", dog_order=dog_order))
 
     if cone_supremum:
         for j, a in enumerate(scales):
             half = max(int(round(a)), 1)
             modulus[j] = _rolling_max(modulus[j], half)
+    if tail is not None:
+        modulus = modulus[:, -tail:]
 
     # Floor the modulus: exact zeros happen on locally polynomial stretches.
     tiny = np.finfo(float).tiny

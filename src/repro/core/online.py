@@ -5,21 +5,23 @@ trace.  Production monitoring needs the same decision *as samples
 arrive*; :class:`OnlineAgingMonitor` provides it:
 
 * counter samples are pushed one at a time (:meth:`update`);
-* every ``chunk_size`` samples, the local Hölder trajectory of the
-  trailing ``history`` samples is recomputed and the newest
-  ``indicator_window`` Hölder values are summarised into one indicator
-  point (mean or variance of h);
+* every ``chunk_size`` samples, the newest ``indicator_window`` local
+  Hölder exponents of the trailing ``history`` samples are computed with
+  :func:`~repro.core.holder.holder_tail` (which transforms only the
+  wavelet support those exponents need) and summarised into one
+  indicator point (mean or variance of h);
 * the first ``n_calibration`` indicator points — after ``n_warmup``
   discarded ones — calibrate the baseline; thereafter each point feeds
   a two-sided CUSUM, and the first excursion raises the alarm.
 
 The recompute-on-chunk design keeps the amortised cost per sample at
-``O(history / chunk_size)`` wavelet work, a few microseconds at the
+``O(segment / chunk_size)`` wavelet work, a few microseconds at the
 default settings.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -31,7 +33,7 @@ from ..exceptions import AnalysisError
 from ..obs import get_logger
 from ..obs import session as _obs
 from ..stats.changepoint import CusumDetector
-from .engines import HolderEngine, create_holder_engine
+from .holder import _scale_band, holder_tail
 
 _log = get_logger("core.online")
 
@@ -58,16 +60,9 @@ class OnlineAgingMonitor:
     cusum_k, cusum_h:
         CUSUM allowance and decision threshold, in baseline sigmas.
     holder_kwargs:
-        Extra arguments for :func:`repro.core.holder.wavelet_holder`.
-    holder_engine:
-        A registered engine name (see
-        :func:`repro.core.engines.holder_engine_names`) or a
-        :class:`~repro.core.engines.HolderEngine` instance.  ``"batch"``
-        recomputes the full-window Hölder trajectory per emit;
-        ``"sliding"``/``"online"`` compute only the
-        ``indicator_window`` tail through the truncated-support CWT —
-        same indicator points to machine precision, a fraction of the
-        CWT work.
+        Extra arguments for :func:`repro.core.holder.holder_tail` (the
+        scale band and wavelet of
+        :func:`~repro.core.holder.wavelet_holder`).
     on_indicator:
         Optional callback ``(time, value)`` invoked for every indicator
         point (live watchers stream these).
@@ -85,7 +80,6 @@ class OnlineAgingMonitor:
     cusum_k: float = 1.5
     cusum_h: float = 8.0
     holder_kwargs: dict = field(default_factory=dict)
-    holder_engine: str | HolderEngine = "batch"
     on_indicator: Optional[Callable[[float, float], None]] = None
     on_state_change: Optional[Callable[[float, str, str], None]] = None
 
@@ -97,24 +91,25 @@ class OnlineAgingMonitor:
         check_positive_int(self.n_calibration, name="n_calibration", minimum=4)
         if self.indicator_window > self.history:
             raise AnalysisError("indicator_window cannot exceed history")
-        # The Hölder estimator needs max_scale <= history / 4; catching a
-        # too-coarse scale band here fails construction instead of the
-        # first recomputation, thousands of samples into a live run.
-        max_scale = float(self.holder_kwargs.get("max_scale", 32.0))
+        # Bad Hölder arguments fail construction instead of the first
+        # recomputation, thousands of samples into a live run.
+        try:
+            band = inspect.signature(holder_tail).bind(
+                None, self.indicator_window, **self.holder_kwargs)
+        except TypeError as exc:
+            raise AnalysisError(
+                f"holder_kwargs not supported by holder_tail: {exc}") from exc
+        band.apply_defaults()
+        max_scale = float(band.arguments["max_scale"])
+        _scale_band(band.arguments["min_scale"], max_scale,
+                    band.arguments["n_scales"])
+        # The Hölder estimator needs max_scale <= history / 4.
         if self.history < 4 * max_scale:
             raise AnalysisError(
                 f"history ({self.history}) is shorter than the wavelet "
                 f"support: need at least 4 * max_scale = {4 * max_scale:.0f} "
                 f"samples"
             )
-        # Resolve the Hölder engine once, here — every emit then goes
-        # through the same estimate_tail call, whatever the engine.
-        if isinstance(self.holder_engine, str):
-            self._engine = create_holder_engine(
-                self.holder_engine, history=self.history,
-                tail=self.indicator_window, **self.holder_kwargs)
-        else:
-            self._engine = self.holder_engine
         self._times: List[float] = []
         self._values: List[float] = []
         self._since_recompute = 0
@@ -267,7 +262,8 @@ class OnlineAgingMonitor:
 
     def _emit_indicator_point(self) -> None:
         window = np.asarray(self._values[-self.history:])
-        recent = self._engine.estimate_tail(window, self.indicator_window)
+        recent = holder_tail(window, self.indicator_window,
+                             **self.holder_kwargs)
         point = float(np.mean(recent)) if self.indicator == "mean" \
             else float(np.var(recent))
         self._indicator_points.append(point)

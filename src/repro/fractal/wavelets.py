@@ -436,7 +436,7 @@ def cwt(
     plan = _wavelet_plan(size, wavelet, dog_order, scales_arr)
 
     # FLOP proxy for the transform work: (forward + one inverse per
-    # scale) * N log2 N.  The online monitor's sliding path is judged by
+    # scale) * N log2 N.  The online monitor's truncated tail is judged by
     # how far it drives this counter down, so it lives here, on the one
     # code path every CWT consumer shares.
     _obs.counter("fractal.cwt_flops").inc(

@@ -5,7 +5,7 @@ the library's hot paths — the stress-to-crash fleet, the Hölder
 trajectory, the multifractal estimators (WTMM, MF-DFA, the sliding
 spectrum), the wavelet transforms, the raw event engine, the full
 ``analyze_counter`` pipeline, the process-pool campaign fan-out and the
-sliding-engine online stream — and freezes the numbers into a versioned
+online monitor stream — and freezes the numbers into a versioned
 trajectory file::
 
     BENCH_<YYYYMMDD>_<gitsha7>.json
@@ -358,17 +358,22 @@ def _case_fleet_vec_equiv(quick: bool) -> Callable[[], int]:
 
 
 def _case_online_stream(quick: bool) -> Callable[[], int]:
-    """Online monitor streaming on the sliding Hölder engine.
+    """Online monitor streaming through the truncated Hölder tail.
 
-    Setup replays the same stream through the batch and sliding engines
-    under a private telemetry session: indicator points and alarm time
-    must agree, and the sliding engine must spend >= 5x fewer CWT FLOPs
-    (the ``fractal.cwt_flops`` counter).  The timed iteration is the
-    sliding-engine feed — the live ``watch`` hot path.
+    Setup replays the same stream through the monitor twice under a
+    private telemetry session: as is, and with every emit's
+    :func:`~repro.core.holder.holder_tail` replaced by the full-window
+    :func:`~repro.core.holder.wavelet_holder` oracle.  Indicator points
+    and alarm time must agree, and the monitor must spend >= 5x fewer
+    CWT FLOPs (the ``fractal.cwt_flops`` counter) than the oracle.  The
+    timed iteration is the monitor feed — the live ``watch`` hot path.
     """
+    from unittest import mock
+
     import numpy as np
 
-    from ..core.online import OnlineAgingMonitor
+    from ..core import online
+    from ..core.holder import wavelet_holder
     from ..exceptions import AnalysisError
     from ..generators import fgn
     from .session import telemetry_session
@@ -378,35 +383,40 @@ def _case_online_stream(quick: bool) -> Callable[[], int]:
     values = np.cumsum(noise)
     times = np.arange(n, dtype=float)
 
-    def feed(engine: str):
-        monitor = OnlineAgingMonitor(holder_engine=engine)
+    def full_window_tail(window, tail, **kwargs):
+        return wavelet_holder(window, **kwargs)[-tail:]
+
+    def feed(monitor):
         with telemetry_session() as session:
             monitor.update_many(times, values)
-            flops = session.metrics.counter("fractal.cwt_flops").value
-        return monitor, flops
+            return session.metrics.counter("fractal.cwt_flops").value
 
-    batch, flops_batch = feed("batch")
-    sliding, flops_sliding = feed("sliding")
-    if not np.allclose(batch.indicator_history, sliding.indicator_history,
-                       rtol=1e-9, atol=1e-8):
+    oracle, tail = online.OnlineAgingMonitor(), online.OnlineAgingMonitor()
+    with mock.patch.object(online, "holder_tail", full_window_tail):
+        flops_oracle = feed(oracle)
+    flops_tail = feed(tail)
+    if not (np.array_equal(oracle.indicator_times, tail.indicator_times)
+            and np.allclose(oracle.indicator_history, tail.indicator_history,
+                            rtol=1e-9, atol=1e-8)):
         raise AnalysisError(
-            "sliding engine indicator points diverged from batch engine")
-    if batch.alarm_time != sliding.alarm_time:
+            "holder_tail indicator points diverged from the full-window "
+            "wavelet_holder oracle")
+    if oracle.alarm_time != tail.alarm_time:
         raise AnalysisError(
-            f"sliding engine alarm time {sliding.alarm_time} differs from "
-            f"batch {batch.alarm_time}"
+            f"holder_tail alarm time {tail.alarm_time} differs from the "
+            f"full-window oracle's {oracle.alarm_time}"
         )
-    ratio = flops_batch / flops_sliding if flops_sliding else float("inf")
-    _log.info("online stream flops", batch=flops_batch,
-              sliding=flops_sliding, ratio=round(ratio, 2))
+    ratio = flops_oracle / flops_tail if flops_tail else float("inf")
+    _log.info("online stream flops", oracle=flops_oracle,
+              tail=flops_tail, ratio=round(ratio, 2))
     if ratio < 5.0:
         raise AnalysisError(
-            f"sliding engine CWT FLOP reduction {ratio:.2f}x is below "
+            f"holder_tail CWT FLOP reduction {ratio:.2f}x is below "
             "the required 5x"
         )
 
     def run() -> int:
-        monitor = OnlineAgingMonitor(holder_engine="sliding")
+        monitor = online.OnlineAgingMonitor()
         monitor.update_many(times, values)
         return n
 
@@ -515,7 +525,7 @@ SUITE: Tuple[BenchCase, ...] = (
               "process-pool campaign fan-out (equivalence + speedup gated)",
               _case_campaign_parallel),
     BenchCase("online.stream", "perf",
-              "online monitor stream on the sliding Hölder engine "
+              "online monitor stream on the truncated Hölder tail "
               "(>=5x CWT FLOP reduction gated)",
               _case_online_stream),
     BenchCase("trace.store", "trace",

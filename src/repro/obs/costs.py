@@ -11,9 +11,10 @@ did the wall time go":
   duration, clamped at zero — parents overlap their children, and a
   pool span overlaps its concurrent workers),
 * classified into the pipeline's five **phases** — ``simulate``
-  (machine setup/run), ``cwt-holder`` (the wavelet transform + Hölder
-  trajectory), ``analysis`` (preprocess/indicator/detector),
-  ``trace-io`` (trace collection and CSV writes) and ``pool-overhead``
+  (machine setup/run, vector fleet runs), ``cwt-holder`` (the wavelet
+  transform + Hölder trajectory), ``analysis``
+  (preprocess/indicator/detector), ``trace-io`` (trace collection and
+  writes) and ``pool-overhead``
   (pool scheduling, worker glue) — with unmatched names inheriting the
   nearest classified ancestor, else ``other``,
 * per worker (``attrs.worker_ordinal``; local spans pool under
@@ -58,9 +59,10 @@ _PHASE_BY_SPAN = {
     "preprocess": "analysis",
     "indicator": "analysis",
     "detector": "analysis",
+    "fleet-vec-run": "simulate",
+    "cell-presimulate": "simulate",
     "machine-collect": "trace-io",
-    "write-csv": "trace-io",
-    "read-csv": "trace-io",
+    "write-trace": "trace-io",
     "campaign-pool": "pool-overhead",
     "campaign-worker": "pool-overhead",
     "cell-run": "pool-overhead",
@@ -69,7 +71,7 @@ _PHASE_BY_SPAN = {
 # Profiler hot-path names -> phase, for the CPU view.
 _PHASE_BY_HOTPATH_PREFIX = (
     ("fractal.", "cwt-holder"),
-    ("perf.sliding_holder", "cwt-holder"),
+    ("core.holder_tail", "cwt-holder"),
     ("core.holder_trajectory", "cwt-holder"),
     ("core.analyze_counter", "analysis"),
     ("memsim.", "simulate"),

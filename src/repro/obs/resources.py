@@ -14,7 +14,7 @@ same scrutiny.  This module closes the loop:
   thread (``resources.parent.rss_bytes``,
   ``resources.worker.<ordinal>.rss_bytes``, …), so a ``/metrics``
   scrape or a run manifest shows the harness's own memory trajectory.
-* ``self_watch=True`` streams the parent's RSS through a sliding-engine
+* ``self_watch=True`` streams the parent's RSS through an
   :class:`~repro.core.online.OnlineAgingMonitor` and the declarative
   alert engine (:class:`SelfWatch`): the pipeline watching its *own*
   aging with its *own* detector.
@@ -217,7 +217,7 @@ def compact_resources(snapshot: Optional[dict]) -> Optional[dict]:
 class SelfWatch:
     """The harness watching its own RSS with its own detector.
 
-    Feeds ``(time, rss)`` observations to a sliding-engine
+    Feeds ``(time, rss)`` observations to an
     :class:`~repro.core.online.OnlineAgingMonitor` (default geometry
     sized for second-scale sampling: chunk 16, history 256) and to an
     :class:`~repro.obs.alerts.AlertEngine` under signal ``"self.rss"``.
@@ -232,12 +232,12 @@ class SelfWatch:
                  rules: Optional[Sequence[AlertRule]] = None) -> None:
         if monitor is None:
             # Imported lazily: repro.core sits above repro.obs in the
-            # layer diagram, exactly like the sliding engine in online.py.
+            # layer diagram.
             from ..core.online import OnlineAgingMonitor
 
             monitor = OnlineAgingMonitor(
                 chunk_size=16, history=256, indicator_window=64,
-                n_warmup=0, n_calibration=4, holder_engine="sliding",
+                n_warmup=0, n_calibration=4,
             )
         self.monitor = monitor
         self.engine = AlertEngine(

@@ -450,6 +450,22 @@ class TestWatchCli:
         assert code == 2
         assert "NoSuchCounter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--history", "100"], "history"),
+        (["--indicator-window", "8"], "indicator_window"),
+        (["--indicator-window", "4096"], "indicator_window"),
+        (["--chunk-size", "4"], "chunk_size"),
+    ])
+    def test_watch_bad_monitor_geometry(self, short_trace, capsys, flags,
+                                        name):
+        path, _ = short_trace
+        code = main(["watch", "--trace", str(path), "--quiet", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+        assert "Traceback" not in err
+
     def test_watch_status_lines(self, short_trace, capsys):
         path, _ = short_trace
         code = main(["watch", "--trace", str(path), "--status-every", "2000"])

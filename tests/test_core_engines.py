@@ -1,132 +1,26 @@
-"""HolderEngine protocol: registry, conformance, cross-engine equivalence."""
+"""Streaming and construction checks that the Hölder engines' sample
+buffer used to carry, now held by :class:`OnlineAgingMonitor` — the one
+buffer in front of :func:`~repro.core.holder.holder_tail`."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    HolderEngine,
-    HolderResult,
-    create_holder_engine,
-    holder_engine_names,
-    register_holder_engine,
-)
-from repro.core.engines import (
-    BatchHolderEngine,
-    OnlineHolderEngine,
-    SlidingHolderEngine,
-    _REGISTRY,
-)
-from repro.core.holder import wavelet_holder
 from repro.core.online import OnlineAgingMonitor
-from repro.core.pipeline import analyze_counter
 from repro.exceptions import AnalysisError, ValidationError
-from repro.trace import TimeSeries
-
-ENGINES = ("batch", "sliding", "online")
 
 
-def _signal(n, seed=7):
-    rng = np.random.default_rng(seed)
-    drift = np.linspace(0.0, 2.0, n) ** 2
-    values = np.cumsum(rng.normal(size=n) * (1.0 + drift))
-    return np.arange(n, dtype=float), values
-
-
-class TestRegistry:
-    def test_canonical_engines_registered(self):
-        assert holder_engine_names() == ("batch", "online", "sliding")
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="holder_engine"):
-            create_holder_engine("warp")
-
-    def test_factory_classes(self):
-        assert isinstance(create_holder_engine("batch"), BatchHolderEngine)
-        assert isinstance(create_holder_engine("sliding"),
-                          SlidingHolderEngine)
-        assert isinstance(create_holder_engine("online"), OnlineHolderEngine)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValidationError):
-            register_holder_engine("", BatchHolderEngine)
-
-    def test_registration_replaces_and_restores(self):
-        original = _REGISTRY["batch"]
-        try:
-            register_holder_engine("batch", SlidingHolderEngine)
-            assert isinstance(create_holder_engine("batch"),
-                              SlidingHolderEngine)
-        finally:
-            register_holder_engine("batch", original)
-        assert isinstance(create_holder_engine("batch"), BatchHolderEngine)
-
-
-class TestConformance:
-    """Every registered engine satisfies the protocol and its
-    equivalence contract against the batch oracle."""
-
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_satisfies_protocol(self, name):
-        engine = create_holder_engine(name)
-        assert isinstance(engine, HolderEngine)
-        assert engine.name == name
-
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_estimate_identical_to_batch_oracle(self, name):
-        _, v = _signal(2_048)
-        result = create_holder_engine(name).estimate(v)
-        assert isinstance(result, HolderResult)
-        assert result.engine == name
-        np.testing.assert_array_equal(result.h, wavelet_holder(v))
-
-    @pytest.mark.parametrize("name", ENGINES)
-    @pytest.mark.parametrize("tail", (64, 256))
-    def test_tail_matches_full_trajectory(self, name, tail):
-        _, v = _signal(2_048)
-        engine = create_holder_engine(name)
-        np.testing.assert_allclose(
-            engine.estimate_tail(v, tail), engine.estimate(v).h[-tail:],
-            rtol=1e-9, atol=1e-8)
-
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_holder_kwargs_plumbed_through(self, name):
-        _, v = _signal(1_024)
-        engine = create_holder_engine(name, n_scales=8, max_scale=16.0)
-        expected = wavelet_holder(v, n_scales=8, max_scale=16.0)
-        np.testing.assert_array_equal(engine.estimate(v).h, expected)
-        np.testing.assert_allclose(engine.estimate_tail(v, 128),
-                                   expected[-128:], rtol=1e-9, atol=1e-8)
+def _monitor(**overrides):
+    kwargs = dict(chunk_size=64, history=256, indicator_window=64)
+    kwargs.update(overrides)
+    return OnlineAgingMonitor(**kwargs)
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_none_until_history_fills_then_tail(self, name):
-        engine = create_holder_engine(name, history=512, tail=128)
-        t, v = _signal(700, seed=3)
-        assert engine.update_many(t[:400], v[:400]) is None
-        assert engine.n_buffered == 400
-        result = engine.update_many(t[400:], v[400:])
-        assert isinstance(result, HolderResult)
-        assert len(result) == 128
-        assert engine.n_buffered == 512  # trimmed to history
-
-    @pytest.mark.parametrize("name", ("sliding", "online"))
-    def test_stream_tail_matches_batch_stream(self, name):
-        t, v = _signal(900, seed=5)
-        batch = create_holder_engine("batch", history=512, tail=128)
-        other = create_holder_engine(name, history=512, tail=128)
-        for start, stop in ((0, 300), (300, 601), (601, 900)):
-            rb = batch.update_many(t[start:stop], v[start:stop])
-            ro = other.update_many(t[start:stop], v[start:stop])
-            assert (rb is None) == (ro is None)
-            if rb is not None:
-                np.testing.assert_allclose(ro.h, rb.h,
-                                           rtol=1e-9, atol=1e-8)
-
     def test_empty_batch_is_noop(self):
-        engine = create_holder_engine("batch", history=256, tail=64)
-        assert engine.update_many([], []) is None
-        assert engine.n_buffered == 0
+        monitor = _monitor()
+        assert monitor.update_many([], []) is False
+        assert monitor.n_samples == 0
+        assert monitor.state == "buffering"
 
     @pytest.mark.parametrize("times,values", [
         ([0.0, 1.0], [1.0]),                        # length mismatch
@@ -136,77 +30,34 @@ class TestStreaming:
         ([1.0, 1.0], [1.0, 2.0]),                   # not strictly ordered
     ])
     def test_bad_batches_rejected(self, times, values):
-        engine = create_holder_engine("batch", history=256, tail=64)
+        monitor = _monitor()
         with pytest.raises(AnalysisError):
-            engine.update_many(times, values)
+            monitor.update_many(times, values)
+        assert monitor.n_samples == 0
 
     def test_time_must_advance_across_calls(self):
-        engine = create_holder_engine("batch", history=256, tail=64)
-        engine.update_many([0.0, 1.0], [1.0, 2.0])
+        monitor = _monitor()
+        monitor.update_many([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(AnalysisError, match="strict time order"):
-            engine.update_many([1.0, 2.0], [3.0, 4.0])
+            monitor.update_many([1.0, 2.0], [3.0, 4.0])
+        assert monitor.n_samples == 2
 
 
 class TestConstructionValidation:
     def test_tail_cannot_exceed_history(self):
-        with pytest.raises(ValidationError, match="cannot exceed history"):
-            create_holder_engine("batch", history=256, tail=512)
+        with pytest.raises(AnalysisError, match="cannot exceed history"):
+            _monitor(history=256, indicator_window=512)
 
     def test_history_floor(self):
-        with pytest.raises(ValidationError):
-            create_holder_engine("batch", history=16, tail=8)
+        with pytest.raises(ValidationError, match="history"):
+            _monitor(history=16, indicator_window=16)
 
-    @pytest.mark.parametrize("name", ("sliding", "online"))
-    def test_bad_holder_kwargs_fail_eagerly(self, name):
+    # The case ids name the engine whose eager check the monitor took
+    # over; "sliding" passes that estimator's removed support_mult knob.
+    @pytest.mark.parametrize("holder_kwargs", [
+        pytest.param({"no_such_kwarg": 1}, id="online"),
+        pytest.param({"support_mult": 10.0}, id="sliding"),
+    ])
+    def test_bad_holder_kwargs_fail_eagerly(self, holder_kwargs):
         with pytest.raises(AnalysisError, match="holder_kwargs"):
-            create_holder_engine(name, no_such_kwarg=1)
-
-
-class TestMonitorIntegration:
-    def test_online_engine_matches_sliding_in_monitor(self):
-        t, v = _signal(6_144)
-        sliding = OnlineAgingMonitor(holder_engine="sliding")
-        online = OnlineAgingMonitor(holder_engine="online")
-        sliding.update_many(t, v)
-        online.update_many(t, v)
-        np.testing.assert_array_equal(sliding.indicator_history,
-                                      online.indicator_history)
-        np.testing.assert_array_equal(sliding.indicator_times,
-                                      online.indicator_times)
-        assert sliding.alarm_time == online.alarm_time
-
-    def test_monitor_accepts_engine_instance(self):
-        engine = create_holder_engine("batch", history=4096, tail=512)
-        monitor = OnlineAgingMonitor(holder_engine=engine)
-        t, v = _signal(5_120)
-        monitor.update_many(t, v)
-        assert len(monitor.indicator_history) > 0
-
-
-class TestPipelineIntegration:
-    @pytest.mark.parametrize("name", ("sliding", "online"))
-    def test_analysis_payload_identical_across_engines(self, name):
-        _, v = _signal(2_048, seed=21)
-        ts = TimeSeries.from_values(v, name="avail")
-        kwargs = dict(indicator_window=128, indicator_step=8)
-        base = analyze_counter(ts, holder_engine="batch", **kwargs)
-        other = analyze_counter(ts, holder_engine=name, **kwargs)
-        np.testing.assert_array_equal(base.trajectory.h, other.trajectory.h)
-        np.testing.assert_array_equal(base.indicator.series.values,
-                                      other.indicator.series.values)
-        assert base.alarm.fired == other.alarm.fired
-        assert base.alarm.alarm_time == other.alarm.alarm_time
-
-    def test_unknown_engine_rejected_in_pipeline(self):
-        _, v = _signal(1_024)
-        ts = TimeSeries.from_values(v, name="avail")
-        with pytest.raises(ValidationError, match="holder_engine"):
-            analyze_counter(ts, holder_engine="warp", indicator_window=128)
-
-    def test_experiment_spec_validates_engine(self):
-        from repro.analysis.campaign import ExperimentSpec
-
-        with pytest.raises(ValidationError, match="holder_engine"):
-            ExperimentSpec(name="bad", holder_engine="warp")
-        spec = ExperimentSpec(name="ok", holder_engine="sliding")
-        assert spec.holder_engine == "sliding"
+            _monitor(holder_kwargs=holder_kwargs)

@@ -353,6 +353,21 @@ class TestResultsSchemaV2:
         assert all(r.detector == "holder" for r in cell.runs)
         assert all(r.peak_healthy is None for r in cell.runs)
 
+    def test_v2_files_with_holder_engine_still_load(self, grid_results,
+                                                    tmp_path):
+        # Schema-v2 files written while ExperimentSpec carried a Hölder
+        # engine selector keep loading; the retired key is ignored.
+        path = tmp_path / "v2-engine.json"
+        save_results(grid_results, path)
+        payload = json.loads(path.read_text())
+        for cell in payload["cells"].values():
+            cell["spec"]["holder_engine"] = "sliding"
+        path.write_text(json.dumps(payload))
+        loaded = load_results(path)
+        for name in grid_results:
+            assert loaded[name].spec == grid_results[name].spec
+            assert loaded[name].runs == grid_results[name].runs
+
     def test_unknown_version_rejected(self, grid_results, tmp_path):
         path = tmp_path / "future.json"
         save_results(grid_results, path)

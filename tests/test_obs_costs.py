@@ -33,7 +33,11 @@ class TestClassification:
         ("analyze-counter/preprocess", "analysis"),
         ("analyze-counter/detector", "analysis"),
         ("machine-collect", "trace-io"),
-        ("cell-run/write-csv", "trace-io"),
+        ("cell-run/write-trace", "trace-io"),
+        ("simulate/write-trace", "trace-io"),
+        ("cell-presimulate", "simulate"),
+        ("cell-presimulate/fleet-vec-run", "simulate"),
+        ("campaign-pool/cell-presimulate/fleet-vec-run", "simulate"),
         ("campaign-pool", "pool-overhead"),
         ("campaign-pool/campaign-worker/cell-run", "pool-overhead"),
         # Unlisted leaf inherits its nearest classified ancestor.
@@ -45,7 +49,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("name, phase", [
         ("fractal.cwt", "cwt-holder"),
-        ("perf.sliding_holder", "cwt-holder"),
+        ("core.holder_tail", "cwt-holder"),
         ("core.holder_trajectory", "cwt-holder"),
         ("core.analyze_counter", "analysis"),
         ("memsim.machine_step", "simulate"),
@@ -223,3 +227,15 @@ class TestSessionIntegration:
         shares = [s["share"] for s in costs["phases"].values()
                   if s["share"] is not None]
         assert sum(shares) == pytest.approx(1.0)
+
+    def test_vector_campaign_spans_all_classified(self):
+        from repro.analysis import ExperimentSpec, run_campaign
+
+        with obs.telemetry_session() as session:
+            run_campaign([ExperimentSpec(name="vec", n_runs=2,
+                                         max_run_seconds=3_000.0,
+                                         engine="vector")], workers=1)
+            paths = {s["path"] for s in session.spans.to_list()}
+        assert "cell-presimulate/fleet-vec-run" in paths
+        assert {p: classify_span(p) for p in paths
+                if classify_span(p) == "other"} == {}

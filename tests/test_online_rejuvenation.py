@@ -79,6 +79,12 @@ class TestOnlineMonitor:
             OnlineAgingMonitor(history=512, indicator_window=1024)
         with pytest.raises(ValidationError):
             OnlineAgingMonitor(indicator="median")
+        with pytest.raises(ValidationError, match="history"):
+            OnlineAgingMonitor(history=16, indicator_window=8)
+        with pytest.raises(ValidationError, match="indicator_window"):
+            OnlineAgingMonitor(indicator_window=8)
+        with pytest.raises(ValidationError, match="chunk_size"):
+            OnlineAgingMonitor(chunk_size=8)
 
     def test_history_shorter_than_wavelet_support_rejected(self):
         # The Hölder estimator needs ~4 samples per unit of its largest

@@ -1,13 +1,16 @@
-"""Tests for the sliding Hölder estimator and the monitor's fast paths."""
+"""Equivalence guards for the truncated Hölder tail and the online
+monitor's fast paths, checked against the full-window
+:func:`~repro.core.holder.wavelet_holder` oracle directly."""
 
 import numpy as np
 import pytest
 
-from repro.core.holder import wavelet_holder
+from repro.core import online
+from repro.core.holder import SUPPORT_MARGIN, holder_tail, wavelet_holder
 from repro.core.online import OnlineAgingMonitor
 from repro.exceptions import AnalysisError, ValidationError
+from repro.generators import fbm
 from repro.obs import session as _obs
-from repro.perf.sliding_cwt import SlidingHolderEstimator
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +24,16 @@ def crashing_counter():
     return result.bundle["AvailableBytes"].values
 
 
-class TestSlidingHolderEstimator:
+def _cwt_flops(fn, *args, **kwargs):
+    with _obs.telemetry_session() as session:
+        fn(*args, **kwargs)
+        return session.metrics.counter("fractal.cwt_flops").value
+
+
+class TestHolderTail:
     def test_tail_matches_batch_on_crashing_trace(self, crashing_counter):
         window = crashing_counter[-4096:]
-        est = SlidingHolderEstimator(tail=512)
-        tail = est.holder_tail(window)
+        tail = holder_tail(window, 512)
         batch = wavelet_holder(window)[-512:]
         assert tail.shape == (512,)
         np.testing.assert_allclose(tail, batch, rtol=1e-9, atol=1e-8)
@@ -33,30 +41,61 @@ class TestSlidingHolderEstimator:
     def test_tail_matches_batch_on_fbm(self):
         rng = np.random.default_rng(17)
         x = np.cumsum(rng.normal(size=6000))
-        est = SlidingHolderEstimator(tail=256, max_scale=24.0, n_scales=10)
-        tail = est.holder_tail(x)
+        tail = holder_tail(x, 256, max_scale=24.0, n_scales=10)
         batch = wavelet_holder(x, max_scale=24.0, n_scales=10)[-256:]
         np.testing.assert_allclose(tail, batch, rtol=1e-9, atol=1e-8)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"min_scale": 3.0, "max_scale": 24.0},
+        {"n_scales": 8, "max_scale": 16.0},
+        {"dog_order": 4},
+        {"cone_supremum": False},
+    ])
+    def test_holder_kwargs_plumbed_through(self, kwargs):
+        rng = np.random.default_rng(29)
+        x = np.cumsum(rng.normal(size=3000))
+        np.testing.assert_allclose(holder_tail(x, 128, **kwargs),
+                                   wavelet_holder(x, **kwargs)[-128:],
+                                   rtol=1e-9, atol=1e-8)
 
     def test_short_window_falls_back_to_batch_exactly(self):
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.normal(size=700))
-        est = SlidingHolderEstimator(tail=512)
-        assert x.size <= est.segment_length
         np.testing.assert_array_equal(
-            est.holder_tail(x), wavelet_holder(x)[-512:])
+            holder_tail(x, 512), wavelet_holder(x)[-512:])
+        # A tail longer than the window returns the whole trajectory.
+        np.testing.assert_array_equal(holder_tail(x, 900), wavelet_holder(x))
 
     def test_segment_length_accounts_for_support_and_cone(self):
-        est = SlidingHolderEstimator(tail=512, max_scale=32.0)
-        assert est.segment_length == 512 + 32 + 320
+        segment = 512 + 32 + int(SUPPORT_MARGIN * 32)
+        assert segment == 864
+        x = np.cumsum(np.random.default_rng(3).normal(size=4096))
+        # One CWT over exactly the segment: the FLOP proxy grows strictly
+        # with the transformed length.
+        assert _cwt_flops(holder_tail, x, 512) == pytest.approx(
+            _cwt_flops(wavelet_holder, x[-segment:]))
+        # At the segment length itself nothing is truncated.
+        np.testing.assert_array_equal(holder_tail(x[-segment:], 512),
+                                      wavelet_holder(x[-segment:])[-512:])
+        # Tiny configurations keep the estimator's 64-sample floor.
+        y = x[-100:]
+        assert _cwt_flops(holder_tail, y, 8, min_scale=1.0,
+                          max_scale=2.0, n_scales=3) == pytest.approx(
+            _cwt_flops(wavelet_holder, y[-64:], min_scale=1.0,
+                       max_scale=2.0, n_scales=3))
 
     def test_validation(self):
+        x = np.cumsum(np.random.default_rng(1).normal(size=256))
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=0)
+            holder_tail(x, 0)
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=64, max_scale=2.0, min_scale=4.0)
+            holder_tail(x, 64, max_scale=2.0, min_scale=4.0)
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=64, support_mult=2.0)
+            holder_tail(x, 64, n_scales=2)
+        with pytest.raises(ValidationError):
+            holder_tail(x[:32], 16)
+        with pytest.raises(ValidationError):
+            holder_tail(np.r_[x, np.nan], 64)
 
 
 def _drifting_signal(n, seed=7):
@@ -66,41 +105,85 @@ def _drifting_signal(n, seed=7):
     return np.arange(n, dtype=float), values
 
 
+def _regime_change_signal(seed=1):
+    """fBm that turns much rougher at sample 9000 (alarms the default
+    monitor a few emits later)."""
+    rng = np.random.default_rng(seed)
+    healthy = fbm(9_000, 0.7, rng=rng)
+    sick = (healthy[-1] + np.cumsum(rng.standard_normal(4_000) * 3.0)
+            + 50.0 * rng.standard_normal(4_000))
+    values = np.concatenate([healthy, sick])
+    return np.arange(values.size, dtype=float), values
+
+
+@pytest.fixture
+def full_window_oracle(monkeypatch):
+    """Call ``fn`` with every monitor emit recomputing the full-window
+    wavelet_holder — the oracle loop, at the monitor's own emit
+    positions and through its own CUSUM."""
+
+    def full_window_tail(window, tail, **kwargs):
+        return wavelet_holder(window, **kwargs)[-tail:]
+
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(online, "holder_tail", full_window_tail)
+            return fn(*args)
+
+    return run
+
+
 class TestMonitorEngines:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValidationError):
-            OnlineAgingMonitor(holder_engine="warp")
+    """The monitor's Hölder estimator configuration is checked when the
+    monitor is built, not at its first recomputation."""
 
     def test_bad_holder_kwargs_rejected_at_construction(self):
-        with pytest.raises(AnalysisError):
-            OnlineAgingMonitor(holder_engine="sliding",
-                               holder_kwargs={"no_such_kwarg": 1})
+        with pytest.raises(AnalysisError, match="holder_kwargs"):
+            OnlineAgingMonitor(holder_kwargs={"no_such_kwarg": 1})
+        with pytest.raises(ValidationError):
+            OnlineAgingMonitor(holder_kwargs={"min_scale": 8.0,
+                                              "max_scale": 4.0})
+        with pytest.raises(ValidationError):
+            OnlineAgingMonitor(holder_kwargs={"n_scales": 2})
 
-    def test_sliding_engine_matches_batch_indicators_and_alarm(self):
-        t, v = _drifting_signal(12_288)
-        batch = OnlineAgingMonitor(holder_engine="batch")
-        sliding = OnlineAgingMonitor(holder_engine="sliding")
-        batch.update_many(t, v)
-        sliding.update_many(t, v)
-        assert len(batch.indicator_history) == len(sliding.indicator_history)
-        np.testing.assert_allclose(batch.indicator_history,
-                                   sliding.indicator_history,
+
+class TestMonitorOracle:
+    def test_matches_full_window_oracle_indicators_and_alarm(
+            self, full_window_oracle):
+        t, v = _regime_change_signal()
+        oracle, monitor = OnlineAgingMonitor(), OnlineAgingMonitor()
+        full_window_oracle(oracle.update_many, t, v)
+        monitor.update_many(t, v)
+        assert len(oracle.indicator_history) > 0
+        np.testing.assert_allclose(monitor.indicator_history,
+                                   oracle.indicator_history,
                                    rtol=1e-9, atol=1e-8)
-        np.testing.assert_array_equal(batch.indicator_times,
-                                      sliding.indicator_times)
-        assert batch.alarm_time == sliding.alarm_time
+        np.testing.assert_array_equal(monitor.indicator_times,
+                                      oracle.indicator_times)
+        assert oracle.alarm_time is not None
+        assert monitor.alarm_time == oracle.alarm_time
 
-    def test_sliding_engine_cuts_cwt_flops_5x(self):
+    def test_indicator_points_are_holder_tail_summaries(self):
+        # Independent of the monitor's bookkeeping: every point is the
+        # mean of wavelet_holder's newest exponents over the trailing
+        # history at its emit sample.
+        t, v = _drifting_signal(3_000, seed=23)
+        monitor = OnlineAgingMonitor(chunk_size=128, history=1024,
+                                     indicator_window=256)
+        monitor.update_many(t, v)
+        ends = np.arange(1024, t.size + 1, 128)
+        np.testing.assert_array_equal(monitor.indicator_times, t[ends - 1])
+        expected = [np.mean(wavelet_holder(v[end - 1024:end])[-256:])
+                    for end in ends]
+        np.testing.assert_allclose(monitor.indicator_history, expected,
+                                   rtol=1e-9, atol=1e-8)
+
+    def test_cuts_cwt_flops_5x_against_oracle(self, full_window_oracle):
         t, v = _drifting_signal(8_192)
-
-        def flops(engine):
-            monitor = OnlineAgingMonitor(holder_engine=engine)
-            with _obs.telemetry_session() as session:
-                monitor.update_many(t, v)
-                return session.metrics.counter("fractal.cwt_flops").value
-
-        ratio = flops("batch") / flops("sliding")
-        assert ratio >= 5.0
+        oracle, monitor = OnlineAgingMonitor(), OnlineAgingMonitor()
+        oracle_flops = full_window_oracle(
+            _cwt_flops, oracle.update_many, t, v)
+        assert oracle_flops / _cwt_flops(monitor.update_many, t, v) >= 5.0
 
 
 class TestVectorisedUpdateMany:
@@ -162,6 +245,12 @@ class TestVectorisedUpdateMany:
             monitor.update_many([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(AnalysisError):
             monitor.update_many([0.0, 1.0], [1.0])
+        with pytest.raises(AnalysisError):
+            monitor.update_many([[0.0, 1.0]], [[1.0, 2.0]])
+        with pytest.raises(AnalysisError):
+            monitor.update_many([0.0, 1.0], [1.0, float("inf")])
+        with pytest.raises(AnalysisError):
+            monitor.update_many([1.0, 1.0], [1.0, 2.0])
         assert monitor.n_samples == 0
         monitor.update(5.0, 1.0)
         with pytest.raises(AnalysisError):

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import RawThresholdDetector, TrendExhaustionDetector, predict_exhaustion_time
 from repro.core import AgingReport, analyze_counter, analyze_run
 from repro.core.detectors import DetectorConfig
+from repro.core.holder import wavelet_holder
 from repro.exceptions import AnalysisError
 from repro.trace import TimeSeries
 
@@ -37,6 +38,15 @@ class TestAnalyzeCounter:
         ts = TimeSeries.from_values(np.random.default_rng(0).standard_normal(100))
         with pytest.raises(AnalysisError):
             analyze_counter(ts)
+
+    def test_wavelet_trajectory_is_wavelet_holder(self, nt4_run):
+        analysis = analyze_counter(nt4_run.bundle["AvailableBytes"],
+                                   holder_kwargs={"n_scales": 8})
+        np.testing.assert_array_equal(
+            analysis.trajectory.h,
+            wavelet_holder(analysis.counter.values, n_scales=8))
+        np.testing.assert_array_equal(analysis.trajectory.times,
+                                      analysis.counter.times)
 
     def test_oscillation_method_works(self, nt4_run):
         analysis = analyze_counter(
