@@ -277,42 +277,14 @@ def _presimulate_cell(spec: ExperimentSpec,
     from ..memsim.scenarios import scenario_batch_job, scenario_config
 
     seeds = [spec.base_seed + i for i in run_indices]
-    if spec.fault_factor == 0.0:
-        from ..memsim.config import FaultConfig
-
-        config = scenario_config(
-            spec.scenario, seed=spec.base_seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            config_overrides={"faults": FaultConfig(
-                heap_leak_fraction=0.0, pool_leak_rate=0.0,
-                fragmentation_rate=0.0,
-            )},
-        )
-    else:
-        config = scenario_config(
-            spec.scenario, seed=spec.base_seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            fault_factor=spec.fault_factor,
-        )
+    config = scenario_config(spec.scenario, seed=spec.base_seed,
+                             **_scenario_kwargs(spec))
     with _obs.span("cell-presimulate", cell=spec.name, hosts=len(seeds),
                    engine=spec.engine):
         fleet = VectorFleet(config, seeds=seeds,
                             batch_job=scenario_batch_job(spec.scenario))
         results = fleet.run()
     return dict(zip(run_indices, results))
-
-
-def run_cell(spec: ExperimentSpec) -> CellResult:
-    """Execute one cell: fleet, analysis, aggregation."""
-    _log.info("cell starting", cell=spec.name, scenario=spec.scenario,
-              profile=spec.profile, n_runs=spec.n_runs, engine=spec.engine)
-    if spec.engine == "vector":
-        presim = _presimulate_cell(spec, range(spec.n_runs))
-        records = [_execute_run(spec, i, presimulated=presim[i])
-                   for i in range(spec.n_runs)]
-    else:
-        records = [_execute_run(spec, i) for i in range(spec.n_runs)]
-    return _aggregate_cell(spec, records)
 
 
 def cells_payload(results: Dict[str, CellResult]) -> Dict[str, dict]:
@@ -682,24 +654,24 @@ def run_campaign(
     ).results
 
 
-def _build(spec: ExperimentSpec, seed: int):
+def _scenario_kwargs(spec: ExperimentSpec) -> dict:
+    """Scenario arguments for ``spec``'s hosts (any seed, either engine).
+
+    Scenario scaling cannot reach exactly zero (``scaled()`` requires a
+    positive factor), so a fault-free cell disables faults explicitly.
+    """
+    kwargs = dict(profile=spec.profile, max_run_seconds=spec.max_run_seconds)
     if spec.fault_factor == 0.0:
-        # Scenario scaling cannot reach exactly zero (scaled() requires a
-        # positive factor); build with explicitly disabled faults.
         from ..memsim.config import FaultConfig
 
-        machine = build_scenario(
-            spec.scenario, seed=seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            config_overrides={"faults": FaultConfig(
-                heap_leak_fraction=0.0, pool_leak_rate=0.0,
-                fragmentation_rate=0.0,
-            )},
-        )
+        kwargs["config_overrides"] = {"faults": FaultConfig(
+            heap_leak_fraction=0.0, pool_leak_rate=0.0,
+            fragmentation_rate=0.0,
+        )}
     else:
-        machine = build_scenario(
-            spec.scenario, seed=seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            fault_factor=spec.fault_factor,
-        )
-    return machine
+        kwargs["fault_factor"] = spec.fault_factor
+    return kwargs
+
+
+def _build(spec: ExperimentSpec, seed: int):
+    return build_scenario(spec.scenario, seed=seed, **_scenario_kwargs(spec))

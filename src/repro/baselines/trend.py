@@ -56,6 +56,19 @@ class TrendAlarm:
         return self.alarm_time is not None
 
 
+def _sen_extrapolation(
+    times: np.ndarray, values: np.ndarray, floor: float,
+) -> Optional[tuple[float, float]]:
+    """``(exhaustion_time, slope)``: a Sen-slope fit through the medians,
+    extrapolated to ``floor``; None when the slope is non-negative."""
+    slope = sen_slope(times, values)
+    if slope >= 0:
+        return None
+    level = float(np.median(values))
+    anchor = float(np.median(times))
+    return anchor + (floor - level) / slope, slope
+
+
 def predict_exhaustion_time(
     times: np.ndarray,
     values: np.ndarray,
@@ -67,12 +80,8 @@ def predict_exhaustion_time(
     Returns None when the robust slope is non-negative (no depletion in
     sight).
     """
-    slope = sen_slope(times, values)
-    if slope >= 0:
-        return None
-    level = float(np.median(values))
-    anchor = float(np.median(times))
-    return anchor + (floor - level) / slope
+    fit = _sen_extrapolation(times, values, floor)
+    return None if fit is None else fit[0]
 
 
 @dataclass
@@ -112,27 +121,16 @@ class TrendExhaustionDetector:
 
     def run(self, ts: TimeSeries) -> TrendAlarm:
         """Scan the series; return the first within-horizon prediction."""
-        clean = ts.dropna()
-        if len(clean) < self.min_samples:
-            raise AnalysisError(
-                f"series {ts.name!r} has {len(clean)} samples; "
-                f"need >= {self.min_samples}"
-            )
-        t0 = clean.times[0] + self.window_seconds
-        t_end = clean.times[-1]
-        now = t0
-        while now <= t_end:
-            window = clean.slice_time(now - self.window_seconds, now + 1e-9)
-            if len(window) >= self.min_samples:
-                alarm = self._evaluate(window, now)
-                if alarm is not None:
+        for now, fit in self._scan(ts):
+            if fit is not None:
+                exhaustion, slope = fit
+                if exhaustion - now <= self.horizon_seconds:
                     return TrendAlarm(
                         alarm_time=now,
-                        predicted_exhaustion=alarm[0],
-                        slope_at_alarm=alarm[1],
+                        predicted_exhaustion=exhaustion,
+                        slope_at_alarm=slope,
                         source_name=ts.name,
                     )
-            now += self.step_seconds
         return TrendAlarm(
             alarm_time=None, predicted_exhaustion=None,
             slope_at_alarm=float("nan"), source_name=ts.name,
@@ -148,48 +146,40 @@ class TrendExhaustionDetector:
         configured alarm sits at score 1.  Observation-only: :meth:`run`
         is untouched.
         """
+        out_t: list[float] = []
+        out_s: list[float] = []
+        for now, fit in self._scan(ts):
+            score = 0.0
+            if fit is not None:
+                remaining = fit[0] - now
+                score = (1e6 if remaining <= 0
+                         else min(self.horizon_seconds / remaining, 1e6))
+            out_t.append(now)
+            out_s.append(score)
+        return np.asarray(out_t), np.asarray(out_s)
+
+    def _scan(self, ts: TimeSeries):
+        """Yield ``(now, fit)`` at every prediction step; ``fit`` is
+        :meth:`_predict`'s result, None for windows short of
+        ``min_samples``."""
         clean = ts.dropna()
         if len(clean) < self.min_samples:
             raise AnalysisError(
                 f"series {ts.name!r} has {len(clean)} samples; "
                 f"need >= {self.min_samples}"
             )
-        out_t: list[float] = []
-        out_s: list[float] = []
         now = clean.times[0] + self.window_seconds
         t_end = clean.times[-1]
         while now <= t_end:
             window = clean.slice_time(now - self.window_seconds, now + 1e-9)
-            score = 0.0
-            if len(window) >= self.min_samples:
-                mk = mann_kendall(window.values, alpha=self.alpha)
-                if mk.trend == "decreasing":
-                    slope = sen_slope(window.times, window.values)
-                    if slope < 0:
-                        level = float(np.median(window.values))
-                        anchor = float(np.median(window.times))
-                        exhaustion = anchor + (self.floor - level) / slope
-                        remaining = exhaustion - now
-                        if remaining <= 0:
-                            score = 1e6
-                        else:
-                            score = min(self.horizon_seconds / remaining, 1e6)
-            out_t.append(now)
-            out_s.append(score)
+            yield now, (self._predict(window)
+                        if len(window) >= self.min_samples else None)
             now += self.step_seconds
-        return np.asarray(out_t), np.asarray(out_s)
 
-    def _evaluate(self, window: TimeSeries, now: float) -> Optional[tuple[float, float]]:
-        """One prediction; returns (exhaustion_time, slope) when alarming."""
-        mk = mann_kendall(window.values, alpha=self.alpha)
-        if mk.trend != "decreasing":
+    def _predict(self, window: TimeSeries) -> Optional[tuple[float, float]]:
+        """``(exhaustion_time, slope)`` when the window's trend is
+        significantly decreasing (Mann–Kendall) and extrapolates to the
+        floor; None otherwise."""
+        if mann_kendall(window.values, alpha=self.alpha).trend != "decreasing":
             return None
-        slope = sen_slope(window.times, window.values)
-        if slope >= 0:
-            return None
-        level = float(np.median(window.values))
-        anchor = float(np.median(window.times))
-        exhaustion = anchor + (self.floor - level) / slope
-        if exhaustion - now <= self.horizon_seconds:
-            return exhaustion, slope
-        return None
+        return _sen_extrapolation(window.times, window.values, self.floor)

@@ -67,18 +67,19 @@ Four subcommands covering the library's main workflows:
 
 ``watch``
     Watch a live simulation (or a replayed trace CSV) with the online
-    aging monitor: stream schema-versioned JSONL events (samples,
-    indicator points, detector transitions, alarms, alert-rule firings,
-    status heartbeats, crash/end), optionally under declarative alert
-    rules from a TOML/JSON file::
+    aging monitor, optionally under declarative alert rules from a
+    TOML/JSON file, and record the session as a ``repro.timeline/1``
+    stream (samples, indicator points, detector transitions, alarms,
+    alert-rule firings, status heartbeats and the crash as annotations,
+    the summary on the end record)::
 
         python -m repro watch --scenario stress --seed 7 \\
-            --alerts rules.toml --events out.jsonl
-        python -m repro watch --trace run.csv --events out.jsonl
+            --alerts rules.toml --timeline out.jsonl
+        python -m repro watch --trace run.csv --timeline out.jsonl
 
 ``dashboard``
     Render a self-contained HTML dashboard (inline SVG, no external
-    resources) from a watch event stream, or a campaign
+    resources) from a watch session's timeline, or a campaign
     detection-quality dashboard from run-manifest directories::
 
         python -m repro dashboard out.jsonl -o report.html
@@ -329,11 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     wat.add_argument("--counter", default="AvailableBytes")
     wat.add_argument("--alerts", default=None, metavar="RULES",
                      help="alert rules file (.toml or .json)")
-    wat.add_argument("--events", default=None, metavar="JSONL",
-                     help="write the watch event stream to this JSONL file")
     wat.add_argument("--dashboard", default=None, metavar="HTML",
                      help="render the run dashboard to this HTML file "
-                          "after the watch session")
+                          "from the session's timeline after the watch")
     wat.add_argument("--status-every", type=float, default=600.0,
                      help="simulated seconds between status heartbeats "
                           "(0 disables; default: %(default)s)")
@@ -360,9 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "127.0.0.1:PORT while the watch runs "
                           "(0 = pick an ephemeral port)")
     wat.add_argument("--timeline", default=None, metavar="JSONL",
-                     help="record the watch session's history (progress "
-                          "heartbeats + parent RSS frames) to this "
-                          "repro.timeline/1 JSONL artifact")
+                     help="record the watch session (samples, indicator "
+                          "points, detector states, alarm, alerts, crash "
+                          "and summary as annotations, plus progress and "
+                          "parent RSS frames) to this repro.timeline/1 "
+                          "JSONL artifact")
     wat.add_argument("--timeline-every", type=float, default=1.0,
                      metavar="SEC",
                      help="seconds between timeline frames "
@@ -386,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     dash = sub.add_parser("dashboard", parents=[common],
                           help="render a self-contained HTML dashboard")
     dash.add_argument("path",
-                      help="a watch-events JSONL file (run dashboard) or "
-                           "a manifest/run directory (campaign dashboard)")
+                      help="a watch session's timeline JSONL (run "
+                           "dashboard) or a manifest/run directory "
+                           "(campaign dashboard)")
     dash.add_argument("-o", "--out", default="dashboard.html",
                       help="output HTML path (default: %(default)s)")
     dash.add_argument("--title", default=None, help="dashboard title")
@@ -1042,12 +1044,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_watch(args: argparse.Namespace) -> int:
     """Live watch: online monitor + alert rules over a stream of samples."""
     import contextlib
+    import os
+    import tempfile
 
     from .core.online import OnlineAgingMonitor
     from .exceptions import ReproError
     from .obs.alerts import AlertEngine, load_rules
-    from .obs.atomic import atomic_write
-    from .obs.live import EventStreamWriter, LiveWatcher
+    from .obs.live import LiveWatcher
 
     try:
         monitor = OnlineAgingMonitor(
@@ -1056,82 +1059,73 @@ def cmd_watch(args: argparse.Namespace) -> int:
             indicator_window=args.indicator_window,
             n_calibration=args.calibration,
         )
-    except ReproError as exc:
+        engine = AlertEngine(load_rules(args.alerts)) if args.alerts else None
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    engine = None
-    if args.alerts:
-        try:
-            rules = load_rules(args.alerts)
-        except (ReproError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        engine = AlertEngine(rules)
-        print(f"loaded {len(rules)} alert rule(s) from {args.alerts}")
+    if engine is not None:
+        print(f"loaded {len(engine.rules)} alert rule(s) from {args.alerts}")
 
-    board = server = timeline = tl_sampler = None
-    if args.status_port is not None or args.timeline is not None:
-        from .obs.statusd import StatusBoard
-
-        board = StatusBoard(kind="watch")
-        board.begin(total_units=0, counter=args.counter)
-    if args.timeline is not None:
-        from .obs.resources import ResourceSampler
-        from .obs.timeline import TimelineRecorder
-
-        tl_sampler = ResourceSampler()
-        tl_sampler.start()
-        timeline = TimelineRecorder(
-            args.timeline, interval=args.timeline_every,
-            board=board, resources=tl_sampler)
-        timeline.start()
-        print(f"timeline: recording -> {args.timeline} "
-              f"(every {args.timeline_every:g}s)")
-    if args.status_port is not None:
-        from .obs.statusd import StatusServer
-
-        server = StatusServer(port=args.status_port, board=board,
-                              timeline=timeline)
-        port = server.start()
-        print(f"status: serving http://127.0.0.1:{port}/status "
-              f"(/metrics, /healthz, /timeline)", flush=True)
-
-    def status_line(event: dict) -> None:
-        value = event.get("value")
-        shown = "-" if value is None else f"{value:,.0f}"
-        print(f"  [t={event['t']:>8,.0f}s] state={event['state']:<11s} "
-              f"samples={event['n_samples']:<7d} "
-              f"indicators={event['n_indicators']:<4d} "
-              f"alerts={event['alerts_fired']:<3d} {args.counter}={shown}")
-
-    def on_status(event: dict) -> None:
-        if board is not None:
-            board.update(
-                watch_time=event["t"], watch_state=event["state"],
-                n_samples=event["n_samples"],
-                n_indicators=event["n_indicators"],
-                alerts_fired=event["alerts_fired"],
-            )
-        if not args.quiet:
-            status_line(event)
-
-    keep_events = bool(args.dashboard)
     with contextlib.ExitStack() as stack:
-        if server is not None:
-            stack.callback(server.stop)
-        if timeline is not None:
+        # The session's one artifact is its timeline: --timeline, or a
+        # temporary file that only --dashboard reads; --status-port alone
+        # records to the in-memory ring behind /timeline.  With none of
+        # these the watcher records nothing.
+        timeline_path = args.timeline
+        if timeline_path is None and args.dashboard:
+            scratch = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-watch-"))
+            timeline_path = os.path.join(scratch, "watch.jsonl")
+        board = timeline = None
+        if timeline_path is not None or args.status_port is not None:
+            from .obs.resources import ResourceSampler
+            from .obs.statusd import StatusBoard
+            from .obs.timeline import TimelineRecorder
+
+            board = StatusBoard(kind="watch")
+            board.begin(total_units=0, counter=args.counter)
+            sampler = ResourceSampler()
+            sampler.start()
+            stack.callback(sampler.stop)
+            timeline = TimelineRecorder(
+                timeline_path, interval=args.timeline_every,
+                board=board, resources=sampler)
             # Safety net for early error returns: finalize() is
-            # idempotent, so the normal path's finalize below wins.
+            # idempotent, so the watcher's own finalize wins.
             stack.callback(lambda: timeline.finalize("error"))
-            stack.callback(tl_sampler.stop)
-        # The event stream is written atomically: it lands at --events in
-        # one rename when the watch session ends, so a crash mid-watch
-        # never leaves a truncated JSONL behind.
-        handle = (stack.enter_context(atomic_write(args.events))
-                  if args.events else None)
-        writer = EventStreamWriter(handle, keep=keep_events or handle is None)
+        if args.timeline is not None:
+            print(f"timeline: recording -> {args.timeline} "
+                  f"(every {args.timeline_every:g}s)")
+        if args.status_port is not None:
+            from .obs.statusd import StatusServer
+
+            server = StatusServer(port=args.status_port, board=board,
+                                  timeline=timeline)
+            port = server.start()
+            stack.callback(server.stop)
+            print(f"status: serving http://127.0.0.1:{port}/status "
+                  f"(/metrics, /healthz, /timeline)", flush=True)
+
+        def on_status(status: dict) -> None:
+            if board is not None:
+                board.update(
+                    watch_time=status["t"], watch_state=status["state"],
+                    n_samples=status["n_samples"],
+                    n_indicators=status["n_indicators"],
+                    alerts_fired=status["alerts_fired"],
+                )
+            if not args.quiet:
+                value = status["value"]
+                shown = "-" if value is None else f"{value:,.0f}"
+                print(f"  [t={status['t']:>8,.0f}s] "
+                      f"state={status['state']:<11s} "
+                      f"samples={status['n_samples']:<7d} "
+                      f"indicators={status['n_indicators']:<4d} "
+                      f"alerts={status['alerts_fired']:<3d} "
+                      f"{args.counter}={shown}")
+
         watcher = LiveWatcher(
-            monitor, writer=writer, engine=engine, counter=args.counter,
+            monitor, timeline=timeline, engine=engine, counter=args.counter,
             status_every=args.status_every, sample_every=args.sample_every,
             on_status=(None if args.quiet and board is None else on_status),
         )
@@ -1159,15 +1153,18 @@ def cmd_watch(args: argparse.Namespace) -> int:
             machine.run()
             end = watcher.finalize()
 
-        state = end["state"]
-        if board is not None:
-            board.finish(state, alarm_time=end["alarm_time"],
-                         crash_time=end["crash_time"])
-        if timeline is not None:
-            timeline.finalize("ok")
+        if args.timeline is not None:
             print(f"timeline -> {args.timeline} "
                   f"({timeline.n_frames} frames, "
                   f"{timeline.n_annotations} annotations)")
+        if args.dashboard:
+            from .obs.dashboard import render_run_dashboard, write_dashboard
+            from .obs.timeline import read_timeline
+
+            dashboard = write_dashboard(
+                render_run_dashboard(read_timeline(timeline_path)),
+                args.dashboard)
+    state = end["state"]
     if end["crash_time"] is not None:
         crash = (f"crashed at t={end['crash_time']:,.0f}s "
                  f"({end.get('crash_reason') or 'unknown'})")
@@ -1182,14 +1179,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
     print(f"watch finished: {alarm}; {crash}; detector state {state}; "
           f"{end['n_samples']} samples, {end['n_indicators']} indicator "
           f"points, {sum(end['alerts'].values())} alert firing(s)")
-    if args.events:
-        print(f"events -> {args.events} ({writer.n_events} events)")
     if args.dashboard:
-        from .obs.dashboard import render_run_dashboard, write_dashboard
-
-        path = write_dashboard(
-            render_run_dashboard(writer.events), args.dashboard)
-        print(f"dashboard -> {path}")
+        print(f"dashboard -> {dashboard}")
     args._outcome.update(
         source="replay" if args.trace else (args.scenario or "stress"),
         state=state,
@@ -1198,7 +1189,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         lead_time=end["lead_time"],
         n_samples=end["n_samples"],
         alerts=end["alerts"],
-        events_file=args.events,
+        timeline_file=args.timeline,
     )
     return 0
 
@@ -1214,13 +1205,13 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
         render_run_dashboard,
         write_dashboard,
     )
-    from .obs.live import read_events
+    from .obs.timeline import read_timeline
 
     try:
         if os.path.isfile(args.path):
-            events = read_events(args.path)
-            html = render_run_dashboard(events, title=args.title)
-            flavor = f"run dashboard ({len(events)} events)"
+            records = read_timeline(args.path)
+            html = render_run_dashboard(records, title=args.title)
+            flavor = f"run dashboard ({len(records)} records)"
         else:
             manifests = load_manifests(args.path)
             html = render_campaign_dashboard(manifests, title=args.title)

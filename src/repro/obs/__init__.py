@@ -26,16 +26,17 @@ DESIGN.md).  Seven pieces, composable but independently usable:
 * :mod:`repro.obs.bench` — the ``python -m repro bench`` harness:
   curated hot-path microbenchmarks, versioned ``BENCH_*.json``
   perf-trajectory files, and baseline regression comparison.
-* :mod:`repro.obs.live` — live watch sessions: the versioned
-  ``repro.watch-events/1`` JSONL event stream and the
+* :mod:`repro.obs.live` — live watch sessions: the
   :class:`LiveWatcher` that attaches an online aging monitor (plus
-  alert rules) to a running machine or a replayed trace.
+  alert rules) to a running machine or a replayed trace and records
+  the session as a ``repro.timeline/1`` stream (watch events as
+  annotations, the summary on the ``end`` record).
 * :mod:`repro.obs.alerts` — the declarative alert-rule engine
   (threshold / rate-of-change / sustained-excursion rules over any
   counter or indicator, loaded from TOML/JSON).
 * :mod:`repro.obs.dashboard` — self-contained HTML dashboards (inline
-  SVG, no external resources) for one watch stream or a whole campaign
-  of run manifests.
+  SVG, no external resources) for one watch session, one timeline or a
+  whole campaign of run manifests.
 * :mod:`repro.obs.ops` — the campaign control plane's identity layer:
   cross-process trace contexts carried into pool workers, and the
   flight recorder (bounded ring buffer dumped as a
@@ -127,7 +128,6 @@ from .export import (
     session_to_prometheus,
     span_tree_rows,
     timeline_to_prometheus,
-    watch_events_to_prometheus,
 )
 from .alerts import (
     AlertEngine,
@@ -136,14 +136,7 @@ from .alerts import (
     load_rules,
     parse_rules,
 )
-from .live import (
-    WATCH_SCHEMA,
-    EventStreamWriter,
-    LiveWatcher,
-    read_events,
-    validate_event,
-    validate_stream,
-)
+from .live import LiveWatcher, validate_watch_timeline
 from .ops import (
     FLIGHT_SCHEMA,
     FlightRecorder,
@@ -246,20 +239,15 @@ __all__ = [
     "session_to_prometheus",
     "span_tree_rows",
     "timeline_to_prometheus",
-    "watch_events_to_prometheus",
     # alert rules
     "AlertRule",
     "AlertFiring",
     "AlertEngine",
     "parse_rules",
     "load_rules",
-    # live watch streams
-    "WATCH_SCHEMA",
-    "EventStreamWriter",
+    # live watch sessions
     "LiveWatcher",
-    "read_events",
-    "validate_event",
-    "validate_stream",
+    "validate_watch_timeline",
     # control plane: traces + flight recorder
     "FLIGHT_SCHEMA",
     "TraceContext",

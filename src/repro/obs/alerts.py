@@ -25,10 +25,10 @@ file (:func:`load_rules`)::
     severity = "critical"
 
 The engine itself is pure — :meth:`AlertEngine.observe` maps a sample to
-zero or more :class:`AlertFiring`\\ s — so the stream writer owns the
-side effects: each firing becomes a structured ``alert`` event in the
-watch stream and a Prometheus-compatible counter
-(``repro_watch_alerts_fired_total{...}`` via the session metrics).
+zero or more :class:`AlertFiring`\\ s — so the live watcher owns the
+side effects: each firing becomes an ``alert`` annotation in the watch
+session's timeline and a ``watch.alerts_fired.<rule>`` counter in the
+session metrics.
 """
 
 from __future__ import annotations

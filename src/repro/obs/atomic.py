@@ -3,7 +3,7 @@
 The campaign harness spends hours inside runs whose workers (and whose
 parent) can be SIGKILLed mid-write — that is the paper's whole
 methodology, stress-to-crash.  Every durable artifact this library
-produces (trace CSVs, run manifests, event streams, bench trajectories,
+produces (trace CSVs, run manifests, timelines, bench trajectories,
 dashboards, campaign results) therefore goes through one shared
 write-temp-then-rename helper:
 

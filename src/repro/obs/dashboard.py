@@ -1,4 +1,4 @@
-"""Self-contained HTML dashboards for watch streams and campaigns.
+"""Self-contained HTML dashboards for watch sessions and campaigns.
 
 Renderers producing a single HTML file with **no external resources** —
 styling is an embedded stylesheet, charts are inline SVG, interactivity
@@ -6,7 +6,7 @@ is a small embedded script — so a dashboard can be attached to a CI
 run, mailed, or opened from disk years later:
 
 * :func:`render_run_dashboard` — one watch session from its
-  ``repro.watch-events/1`` stream: KPI tiles (detector state, alarm /
+  ``repro.timeline/1`` stream: KPI tiles (detector state, alarm /
   crash / lead times, alert count), the counter trajectory and the
   Hölder-indicator trajectory as line charts with alarm, crash and
   alert-rule markers, and the full alert table.
@@ -66,16 +66,24 @@ __all__ = [
 
 # -- run dashboard -------------------------------------------------------------
 
-def render_run_dashboard(events: Sequence[dict], *, title: Optional[str] = None) -> str:
-    """Render one watch session's event stream as a standalone HTML page."""
-    from .live import validate_stream
+def render_run_dashboard(records: Sequence[dict], *, title: Optional[str] = None) -> str:
+    """Render one watch session's timeline stream as a standalone HTML page.
 
-    validate_stream(events)
-    header = events[0]
-    by_kind: Dict[str, List[dict]] = {}
-    for event in events:
-        by_kind.setdefault(event["kind"], []).append(event)
-    end = by_kind.get("end", [{}])[-1]
+    ``records`` is a watch session's ``repro.timeline/1`` stream, checked
+    by :func:`~repro.obs.live.validate_watch_timeline`; charts are drawn
+    against each event's simulation time ``sim_t``.
+    """
+    from .live import validate_watch_timeline
+
+    validate_watch_timeline(records)
+    header = records[0]["fields"]
+    by_event: Dict[str, List[dict]] = {}
+    end: Mapping = {}
+    for record in records:
+        if record["kind"] == "annotation":
+            by_event.setdefault(record["event"], []).append(record)
+        elif record["kind"] == "end":
+            end = record
     counter = header.get("counter", "counter")
     source = header.get("source", {})
 
@@ -83,7 +91,7 @@ def render_run_dashboard(events: Sequence[dict], *, title: Optional[str] = None)
     crash_time = end.get("crash_time")
     lead = end.get("lead_time")
     state = end.get("state", "unknown")
-    alerts = by_kind.get("alert", [])
+    alerts = by_event.get("alert", [])
 
     # -- KPI tiles
     state_css = "alarmed" if state == "alarmed" else (
@@ -114,37 +122,37 @@ def render_run_dashboard(events: Sequence[dict], *, title: Optional[str] = None)
                                title=f"crash at {_fmt_time(crash_time)} "
                                      f"({end.get('crash_reason') or 'unknown'})"))
     alert_markers = [
-        _Marker(float(e["t"]), e.get("rule", "alert"),
+        _Marker(float(e["sim_t"]), e.get("rule", "alert"),
                 e.get("severity", "info"), dot=True,
                 title=f"{e.get('rule')} [{e.get('severity')}] "
-                      f"at {_fmt_time(e['t'])}")
+                      f"at {_fmt_time(e['sim_t'])}")
         for e in alerts
     ]
 
-    samples = by_kind.get("sample", [])
+    samples = by_event.get("sample", [])
     counter_chart = _line_chart(
         "counter", f"{counter} (sampled)",
-        [e["t"] for e in samples], [e["value"] for e in samples],
+        [e["sim_t"] for e in samples], [e["value"] for e in samples],
         series_css="s1", markers=markers + alert_markers,
-        x_max=end.get("t"),
+        x_max=end.get("sim_t"),
     )
-    indicators = by_kind.get("indicator", [])
+    indicators = by_event.get("indicator", [])
     baseline = None
-    for e in by_kind.get("alarm", []):
+    for e in by_event.get("alarm", []):
         baseline = e.get("baseline")
     indicator_chart = _line_chart(
         "indicator",
         f"Hölder indicator ({header.get('monitor', {}).get('indicator', 'mean')} h)",
-        [e["t"] for e in indicators], [e["value"] for e in indicators],
+        [e["sim_t"] for e in indicators], [e["value"] for e in indicators],
         series_css="s3", y_format="plain", markers=markers,
         baseline=baseline, baseline_label="calibrated baseline",
-        x_max=end.get("t"),
+        x_max=end.get("sim_t"),
     )
 
     # -- alert table
     if alerts:
         rows = "".join(
-            f"<tr><td class=\"num\">{_fmt_time(e['t'])}</td>"
+            f"<tr><td class=\"num\">{_fmt_time(e['sim_t'])}</td>"
             f"<td>{_esc(e.get('rule'))}</td>"
             f"<td><span class=\"sev {_esc(e.get('severity'))}\">"
             f"{'&#9650;' if e.get('severity') == 'critical' else '&#9679;'} "
@@ -168,7 +176,7 @@ def render_run_dashboard(events: Sequence[dict], *, title: Optional[str] = None)
     # -- accessible table view of the indicator trajectory
     indicator_rows = "".join(
         f"<tr><td class=\"num\">{e['n']}</td>"
-        f"<td class=\"num\">{_fmt_time(e['t'])}</td>"
+        f"<td class=\"num\">{_fmt_time(e['sim_t'])}</td>"
         f"<td class=\"num\">{e['value']:.4f}</td></tr>"
         for e in indicators
     )
@@ -185,7 +193,8 @@ def render_run_dashboard(events: Sequence[dict], *, title: Optional[str] = None)
                 if source_bits else f"counter {counter}")
     body = (f'<div class="tiles">{"".join(tiles)}</div>'
             + counter_chart + indicator_chart + alert_table + table_view)
-    footer = (f"schema {header.get('schema')} · {len(events)} events · "
+    n_events = sum(len(events) for events in by_event.values())
+    footer = (f"schema {records[0]['schema']} · {n_events} watch events · "
               f"generated by repro.obs.dashboard")
     return _page(title or "Live aging watch — run report", subtitle, body, footer)
 
@@ -522,7 +531,13 @@ _ANNOTATION_DOT_CSS = {
 _ANNOTATION_LINE_CSS = {
     "worker-death": "crash",
     "flight-dump": "alarm",
+    "crash": "crash",
+    "alarm": "alarm",
 }
+# A watch session's data annotations are series on the run dashboard,
+# not events worth a marker.
+_UNMARKED_EVENTS = frozenset({"sample", "indicator", "status",
+                              "detector_state"})
 
 # Detail fields worth surfacing in an annotation marker's tooltip.
 _ANNOTATION_DETAIL_KEYS = (
@@ -544,6 +559,8 @@ def _timeline_markers(annotations: Sequence[Mapping]) -> List[_Marker]:
     for record in annotations:
         event = str(record.get("event", "note"))
         t = float(record.get("t", 0.0))
+        if event in _UNMARKED_EVENTS:
+            continue
         if event in _ANNOTATION_LINE_CSS:
             markers.append(_Marker(t, event, _ANNOTATION_LINE_CSS[event],
                                    title=_annotation_title(record)))

@@ -40,7 +40,6 @@ __all__ = [
     "scoreboard_to_prometheus",
     "session_to_prometheus",
     "timeline_to_prometheus",
-    "watch_events_to_prometheus",
     "span_tree_rows",
     "PrometheusWriter",
 ]
@@ -330,54 +329,6 @@ def manifests_to_prometheus(
     return writer.render()
 
 
-def watch_events_to_prometheus(
-    events: Sequence[Mapping], *, prefix: str = "repro_",
-) -> str:
-    """Render a watch event stream as OpenMetrics text.
-
-    Scrapeable summary of a live session: event counts by kind, alert
-    firings labelled by rule and severity, the detector state (as an
-    info-style gauge), and the alarm/crash/lead timings from the ``end``
-    event when present.
-    """
-    if not events:
-        raise ValidationError("no watch events to export")
-    writer = PrometheusWriter(prefix=prefix)
-    kind_counts: Dict[str, int] = {}
-    alert_counts: Dict[Tuple[str, str], int] = {}
-    for event in events:
-        kind = str(event.get("kind", "unknown"))
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        if kind == "alert":
-            key = (str(event.get("rule", "unknown")),
-                   str(event.get("severity", "unknown")))
-            alert_counts[key] = alert_counts.get(key, 0) + 1
-    for kind, count in sorted(kind_counts.items()):
-        writer.sample("watch_events", "counter", count,
-                      labels={"kind": kind},
-                      help="watch stream events by kind")
-    for (rule, severity), count in sorted(alert_counts.items()):
-        writer.sample("watch_alerts_fired", "counter", count,
-                      labels={"rule": rule, "severity": severity},
-                      help="alert rule firings")
-    end = next((e for e in reversed(list(events))
-                if e.get("kind") == "end"), None)
-    if end is not None:
-        writer.sample("watch_samples", "counter", end.get("n_samples", 0),
-                      help="counter samples consumed by the watcher")
-        for field, name in (("alarm_time", "watch_alarm_time_seconds"),
-                            ("crash_time", "watch_crash_time_seconds"),
-                            ("lead_time", "watch_lead_seconds")):
-            value = end.get(field)
-            if value is not None:
-                writer.sample(name, "gauge", value,
-                              help=f"{field.replace('_', ' ')} (simulated s)")
-        writer.sample("watch_state", "gauge", 1,
-                      labels={"state": str(end.get("state", "unknown"))},
-                      help="final detector state")
-    return writer.render()
-
-
 def scoreboard_to_prometheus(
     scoreboard: Mapping, *, prefix: str = "repro_",
 ) -> str:
@@ -437,7 +388,9 @@ def timeline_to_prometheus(
     ``promtool tsdb create-blocks-from openmetrics`` (and any TSDB
     importer) accepts, so a finished campaign's history can be loaded
     into a real monitoring stack after the fact.  Annotations export as
-    plain counters by event kind.
+    plain counters by event kind, alert-rule firings (a watch session's
+    ``alert`` annotations) by rule and severity, and the alarm, crash and
+    lead times an ``end`` record carries as gauges.
     """
     frames = [r for r in records if r.get("kind") == "frame"]
     if not frames:
@@ -473,14 +426,33 @@ def timeline_to_prometheus(
                     labels={"process": f"worker{worker.get('ordinal')}"},
                     timestamp=stamp, help="resident set size per process")
     event_counts: Dict[str, int] = {}
+    alert_counts: Dict[Tuple[str, str], int] = {}
+    end: Mapping = {}
     for record in records:
         if record.get("kind") == "annotation":
             event = str(record.get("event", "unknown"))
             event_counts[event] = event_counts.get(event, 0) + 1
+            if event == "alert" and "rule" in record:
+                key = (str(record["rule"]),
+                       str(record.get("severity", "unknown")))
+                alert_counts[key] = alert_counts.get(key, 0) + 1
+        elif record.get("kind") == "end":
+            end = record
     for event, count in sorted(event_counts.items()):
         writer.sample("timeline_annotations", "counter", count,
                       labels={"event": event},
                       help="timeline annotations by event kind")
+    for (rule, severity), count in sorted(alert_counts.items()):
+        writer.sample("watch_alerts_fired", "counter", count,
+                      labels={"rule": rule, "severity": severity},
+                      help="alert rule firings")
+    for field, name in (("alarm_time", "watch_alarm_time_seconds"),
+                        ("crash_time", "watch_crash_time_seconds"),
+                        ("lead_time", "watch_lead_seconds")):
+        value = end.get(field)
+        if value is not None:
+            writer.sample(name, "gauge", value,
+                          help=f"{field.replace('_', ' ')} (simulated s)")
     return writer.render()
 
 

@@ -1,238 +1,127 @@
-"""Live watch sessions: a versioned JSONL event stream over a running host.
+"""Live watch sessions: an online aging monitor over a running host.
 
-The offline tooling (PR 1/2) explains a run *after* it finished; this
-module is the live surface the paper's operational story needs — an
-analyst watching the windowed Hölder indicator of a running host and
-raising a crash warning before failure.  Three pieces:
+:class:`LiveWatcher` glues an
+:class:`~repro.core.online.OnlineAgingMonitor` and an optional
+:class:`~repro.obs.alerts.AlertEngine` to a sample source — a live
+:class:`~repro.memsim.machine.Machine` (attached as an in-sim periodic
+poller over the counter sampler) or a replayed trace bundle — so an
+analyst can watch the windowed Hölder indicator of a running host and
+get a crash warning before failure.
 
-* the **event schema** ``repro.watch-events/1``: one JSON object per
-  line, every event carrying ``kind`` + simulation time ``t``.  Kinds:
-  ``header`` (stream identity: source, counter, monitor config, alert
-  rules), ``sample`` (counter samples, optionally decimated),
-  ``indicator`` (Hölder indicator points), ``detector_state`` (monitor
-  lifecycle transitions), ``alarm`` (the detector's latched warning),
-  ``alert`` (rule-engine firings), ``status`` (periodic heartbeat),
-  ``crash`` and ``end`` (termination summary).  Streams are validated
-  line-by-line (:func:`validate_event`, :func:`validate_stream`) so a
-  consumer never has to guess at half-written or foreign files.
-* :class:`EventStreamWriter` — emits schema-valid events to a line
-  handle (flushing per line, so streams can be tailed), mirrors alert
-  firings into the current telemetry session as events plus
-  Prometheus-compatible counters, and keeps per-kind counts.
-* :class:`LiveWatcher` — glues an
-  :class:`~repro.core.online.OnlineAgingMonitor` and an optional
-  :class:`~repro.obs.alerts.AlertEngine` to a sample source: either a
-  live :class:`~repro.memsim.machine.Machine` (attached as an in-sim
-  periodic poller over the counter sampler) or a replayed trace bundle.
-
-The dashboard (:mod:`repro.obs.dashboard`) renders these streams; the
-CLI front end is ``python -m repro watch``.
+A session is recorded through an optional
+:class:`~repro.obs.timeline.TimelineRecorder` as one ``repro.timeline/1``
+stream: the header's ``fields`` name the session (``counter``,
+``source``, ``monitor`` config, alert ``rules``), every watch event is
+an annotation named after it (:data:`WATCH_EVENTS`) carrying its
+simulation time as ``sim_t``, and the session summary lands on the
+``end`` record.  Without a recorder nothing is recorded.  Streams read
+back from disk are checked once, by :func:`validate_watch_timeline`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, Optional, Sequence
 
 from ..exceptions import TraceError
-from .alerts import AlertEngine, AlertFiring
+from .alerts import AlertEngine
 from .logger import get_logger
 from . import session as _obs
 
-__all__ = [
-    "WATCH_SCHEMA",
-    "EVENT_KINDS",
-    "validate_event",
-    "validate_stream",
-    "read_events",
-    "EventStreamWriter",
-    "LiveWatcher",
-]
-
-WATCH_SCHEMA = "repro.watch-events/1"
+__all__ = ["WATCH_EVENTS", "validate_watch_timeline", "LiveWatcher"]
 
 _log = get_logger("obs.live")
 
-# Required fields per event kind, beyond the envelope ("kind" + "t").
-_REQUIRED_FIELDS: Dict[str, tuple] = {
-    "header": ("schema", "counter", "source", "monitor", "rules"),
-    "sample": ("value",),
-    "indicator": ("value", "n"),
-    "detector_state": ("state", "previous"),
-    "alarm": ("indicator", "value", "baseline"),
-    "alert": ("rule", "severity", "signal", "value", "message"),
-    "status": ("state", "n_samples", "n_indicators", "alerts_fired"),
-    "crash": ("reason",),
-    "end": ("n_samples", "n_indicators", "state", "alarm_time",
-            "crash_time", "lead_time", "alerts"),
+#: Watch annotation events: (required payload fields, numeric ones).
+WATCH_EVENTS: Dict[str, tuple] = {
+    "sample": (("value",), ("value",)),
+    "indicator": (("value", "n"), ("value",)),
+    "detector_state": (("state", "previous"), ()),
+    "alarm": (("indicator", "value", "baseline"),
+              ("indicator", "value", "baseline")),
+    "alert": (("rule", "severity", "signal", "value", "message"), ("value",)),
+    "status": (("state", "n_samples", "n_indicators", "alerts_fired"), ()),
+    "crash": (("reason",), ()),
 }
-
-EVENT_KINDS = tuple(_REQUIRED_FIELDS)
-
-_NUMERIC_FIELDS = {
-    "sample": ("value",),
-    "indicator": ("value",),
-    "alarm": ("indicator", "value", "baseline"),
-    "alert": ("value",),
-}
+# The header ``fields`` naming a watch session, and the summary its
+# ``end`` record carries.
+_HEADER_FIELDS = ("counter", "source", "monitor", "rules")
+_END_FIELDS = (("n_samples", "n_indicators", "state", "alarm_time",
+                "crash_time", "lead_time", "alerts"), ())
 
 
-def validate_event(event: object, *, where: str = "event") -> dict:
-    """Check one event against the schema; returns it, raises TraceError.
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    ``where`` names the event in error messages (e.g. ``"line 17"``).
+
+def validate_watch_timeline(records: Sequence[dict]) -> Dict[str, int]:
+    """Check a watch session's ``repro.timeline/1`` stream read from disk.
+
+    On top of :func:`~repro.obs.timeline.validate_timeline`: the header
+    names a watch session, every annotation is a known watch event with
+    its required and numeric fields, the ``end`` record carries the
+    summary, and ``sim_t`` is finite and never goes backwards.  Returns
+    counts by watch event (``end`` included).
     """
-    if not isinstance(event, dict):
-        raise TraceError(f"{where}: expected a JSON object, got {type(event).__name__}")
-    kind = event.get("kind")
-    if kind not in _REQUIRED_FIELDS:
-        raise TraceError(
-            f"{where}: unknown event kind {kind!r} (known: {EVENT_KINDS})")
-    t = event.get("t")
-    if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
-        raise TraceError(f"{where}: {kind} event needs a finite numeric 't'")
-    missing = [f for f in _REQUIRED_FIELDS[kind] if f not in event]
+    from .timeline import validate_timeline
+
+    validate_timeline(records)
+    fields = records[0].get("fields") or {}
+    missing = [name for name in _HEADER_FIELDS if name not in fields]
     if missing:
-        raise TraceError(f"{where}: {kind} event missing field(s) {missing}")
-    for name in _NUMERIC_FIELDS.get(kind, ()):
-        value = event[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TraceError(
-                f"{where}: {kind} event field {name!r} must be numeric, "
-                f"got {value!r}")
-    if kind == "header" and event["schema"] != WATCH_SCHEMA:
-        raise TraceError(
-            f"{where}: unsupported stream schema {event['schema']!r} "
-            f"(expected {WATCH_SCHEMA!r})")
-    return event
-
-
-def validate_stream(events: Sequence[dict]) -> Dict[str, int]:
-    """Validate a whole stream; returns per-kind event counts.
-
-    Checks every event, that the stream opens with a ``header`` of the
-    supported schema, and that event times never go backwards.
-    """
-    if not events:
-        raise TraceError("empty watch stream (no events)")
+        raise TraceError(f"not a watch timeline: header fields lack {missing}")
     counts: Dict[str, int] = {}
     last_t: Optional[float] = None
-    for i, event in enumerate(events):
-        validate_event(event, where=f"event {i}")
-        if i == 0 and event["kind"] != "header":
+    for i, record in enumerate(records):
+        if record["kind"] == "annotation":
+            event = record.get("event")
+            if event not in WATCH_EVENTS:
+                raise TraceError(f"line {i + 1}: unknown watch event "
+                                 f"{event!r} (known: {tuple(WATCH_EVENTS)})")
+            required, numeric = WATCH_EVENTS[event]
+        elif record["kind"] == "end":
+            event, (required, numeric) = "end", _END_FIELDS
+        else:
+            continue
+        where = f"line {i + 1}: {event}"
+        sim_t = record.get("sim_t")
+        if not _is_number(sim_t) or not math.isfinite(sim_t):
+            raise TraceError(f"{where} needs a finite numeric 'sim_t'")
+        if last_t is not None and sim_t < last_t:
             raise TraceError(
-                f"stream must open with a header event, got {event['kind']!r}")
-        if i > 0 and event["kind"] == "header":
-            raise TraceError(f"event {i}: duplicate header mid-stream")
-        t = float(event["t"])
-        if last_t is not None and t < last_t:
-            raise TraceError(
-                f"event {i}: time goes backwards ({t} after {last_t})")
-        last_t = t
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
+                f"{where}: sim_t goes backwards ({sim_t} after {last_t})")
+        last_t = sim_t
+        missing = [name for name in required if name not in record]
+        if missing:
+            raise TraceError(f"{where} missing field(s) {missing}")
+        for name in numeric:
+            if not _is_number(record[name]):
+                raise TraceError(f"{where} field {name!r} must be numeric, "
+                                 f"got {record[name]!r}")
+        counts[event] = counts.get(event, 0) + 1
     return counts
-
-
-def read_events(path: str | os.PathLike, *, validate: bool = True) -> List[dict]:
-    """Read a JSONL watch stream back; validates by default."""
-    events: List[dict] = []
-    with open(os.fspath(path), "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-    if validate:
-        validate_stream(events)
-    return events
-
-
-class EventStreamWriter:
-    """Emit schema-valid watch events as JSON lines.
-
-    Parameters
-    ----------
-    handle:
-        Writable text handle (each event is flushed, so ``tail -f``
-        works on live streams).  ``None`` keeps counts (and optionally
-        the events) without writing anywhere.
-    keep:
-        Retain every emitted event in :attr:`events` (in-memory
-        consumers: tests, direct dashboard rendering).
-    """
-
-    def __init__(self, handle: Optional[TextIO] = None, *, keep: bool = False) -> None:
-        self._handle = handle
-        self._keep = keep
-        self.events: List[dict] = []
-        self.counts: Dict[str, int] = {}
-        self._last_t: Optional[float] = None
-
-    @property
-    def n_events(self) -> int:
-        """Events emitted so far."""
-        return sum(self.counts.values())
-
-    @property
-    def last_t(self) -> Optional[float]:
-        """Time of the newest event (None before the first)."""
-        return self._last_t
-
-    def emit(self, kind: str, t: float, **fields) -> dict:
-        """Build, validate and write one event; returns the event dict."""
-        event = {"kind": kind, "t": float(t)}
-        event.update(fields)
-        validate_event(event)
-        if self._last_t is not None and event["t"] < self._last_t:
-            raise TraceError(
-                f"watch events must not go backwards in time "
-                f"({event['t']} after {self._last_t})")
-        self._last_t = event["t"]
-        if self._handle is not None:
-            self._handle.write(json.dumps(event, default=str))
-            self._handle.write("\n")
-            self._handle.flush()
-        if self._keep:
-            self.events.append(event)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        _obs.counter("watch.events").inc()
-        return event
-
-    def emit_alert(self, firing: AlertFiring) -> dict:
-        """Emit one rule firing, mirrored into the telemetry session."""
-        event = self.emit(
-            "alert", firing.time, rule=firing.rule, severity=firing.severity,
-            signal=firing.signal, value=firing.value, message=firing.message,
-        )
-        _obs.record_event("alert", sim_time=firing.time, rule=firing.rule,
-                          severity=firing.severity, signal=firing.signal,
-                          value=firing.value)
-        _obs.counter("watch.alerts_fired").inc()
-        _obs.counter(f"watch.alerts_fired.{firing.rule}").inc()
-        return event
 
 
 class LiveWatcher:
     """Attach an online monitor + alert rules to a live sample stream.
 
-    One watcher observes one counter.  Feed it samples directly
-    (:meth:`feed`), replay a recorded bundle (:meth:`replay`), or attach
-    it to a running machine (:meth:`attach` before ``machine.run()``),
-    then :meth:`finalize` to close the stream with ``crash``/``end``
-    events and get the session summary.
+    One watcher observes one counter.  Open the session with
+    :meth:`write_header`, then feed it samples directly (:meth:`feed`),
+    replay a recorded bundle (:meth:`replay`), or attach it to a running
+    machine (:meth:`attach` before ``machine.run()``), then
+    :meth:`finalize` to close it with ``crash``/``end`` and get the
+    session summary.
 
     Parameters
     ----------
     monitor:
         The :class:`~repro.core.online.OnlineAgingMonitor` to drive (its
         ``on_indicator``/``on_state_change`` callbacks are taken over).
-    writer:
-        Destination event stream (a fresh in-memory one by default).
+    timeline:
+        Optional unstarted :class:`~repro.obs.timeline.TimelineRecorder`
+        the session is recorded through; :meth:`write_header` starts it
+        and :meth:`finalize` finalizes it (finishing its status board,
+        if any, first).  None records nothing.
     engine:
         Optional :class:`~repro.obs.alerts.AlertEngine`; counter samples
         are offered under the counter's name, indicator points under
@@ -240,21 +129,22 @@ class LiveWatcher:
     counter:
         Counter this watcher observes.
     status_every:
-        Simulated seconds between ``status`` heartbeat events (0
-        disables them).
+        Simulated seconds between ``status`` heartbeats (0 disables
+        them).
     sample_every:
-        Record every Nth counter sample in the stream (decimation keeps
-        multi-day streams tailable; the monitor always sees every
-        sample).  0 suppresses ``sample`` events entirely.
+        Record every Nth counter sample (decimation keeps multi-day
+        streams tailable; the monitor always sees every sample).  0
+        records no ``sample`` events.
     on_status:
-        Optional callback receiving each status event (CLI live lines).
+        Optional callback receiving each status heartbeat as a dict with
+        ``t`` and the ``status`` payload (CLI live lines).
     """
 
     def __init__(
         self,
         monitor,
         *,
-        writer: Optional[EventStreamWriter] = None,
+        timeline=None,
         engine: Optional[AlertEngine] = None,
         counter: str = "AvailableBytes",
         status_every: float = 600.0,
@@ -266,7 +156,7 @@ class LiveWatcher:
         if status_every < 0:
             raise TraceError(f"status_every must be >= 0, got {status_every}")
         self.monitor = monitor
-        self.writer = writer if writer is not None else EventStreamWriter(keep=True)
+        self.timeline = timeline
         self.engine = engine
         self.counter = counter
         self.status_every = status_every
@@ -276,6 +166,7 @@ class LiveWatcher:
         self.n_dropped = 0
         self._n_indicators = 0
         self._last_value: Optional[float] = None
+        self._last_t: Optional[float] = None
         self._last_status_t: Optional[float] = None
         self._finalized = False
         self._header_written = False
@@ -285,18 +176,21 @@ class LiveWatcher:
 
     # -- stream lifecycle ------------------------------------------------------
 
-    def write_header(self, source: Dict[str, object], *, t: float = 0.0) -> None:
-        """Open the stream: schema, source identity, config, rule set."""
+    def write_header(self, source: Dict[str, object]) -> None:
+        """Open the session: source identity, monitor config, rule set."""
         if self._header_written:
             raise TraceError("watch stream header already written")
+        self._header_written = True
+        if self.timeline is None:
+            return
         monitor = self.monitor
         rules = [] if self.engine is None else [
             {"name": r.name, "signal": r.signal, "kind": r.kind,
              "condition": r.condition, "severity": r.severity}
             for r in self.engine.rules
         ]
-        self.writer.emit(
-            "header", t, schema=WATCH_SCHEMA, counter=self.counter,
+        self.timeline.fields.update(
+            counter=self.counter,
             source=dict(source),
             monitor={
                 "chunk_size": monitor.chunk_size,
@@ -310,7 +204,13 @@ class LiveWatcher:
             },
             rules=rules,
         )
-        self._header_written = True
+        self.timeline.start()
+
+    def _event(self, event: str, t: float, **payload) -> None:
+        """One watch event at simulation time ``t``, as an annotation."""
+        self._last_t = t
+        if self.timeline is not None:
+            self.timeline.annotate(event, sim_t=t, **payload)
 
     def feed(self, t: float, value: float) -> None:
         """Push one counter sample through stream + rules + monitor.
@@ -329,10 +229,9 @@ class LiveWatcher:
         self.n_samples += 1
         self._last_value = value
         if self.sample_every and (self.n_samples - 1) % self.sample_every == 0:
-            self.writer.emit("sample", t, value=value)
+            self._event("sample", t, value=value)
         if self.engine is not None:
-            for firing in self.engine.observe(self.counter, t, value):
-                self.writer.emit_alert(firing)
+            self._observe(self.counter, t, value)
         self.monitor.update(t, value)
         if self._last_status_t is None:
             self._last_status_t = t
@@ -345,7 +244,7 @@ class LiveWatcher:
 
         Writes the header (source type ``replay``), feeds every sample
         of the watched counter, then finalizes against the bundle's
-        ground-truth crash metadata.  Returns the end-event summary.
+        ground-truth crash metadata.  Returns the session summary.
         """
         if self.counter not in bundle:
             raise TraceError(
@@ -357,7 +256,7 @@ class LiveWatcher:
         for key in ("os_profile", "seed", "duration"):
             if key in meta:
                 source[key] = meta[key]
-        self.write_header(source, t=float(series.times[0]))
+        self.write_header(source)
         for t, value in zip(series.times, series.values):
             self.feed(t, value)
         crash_time = meta.get("crash_time")
@@ -375,7 +274,7 @@ class LiveWatcher:
         output every ``poll_interval`` simulated seconds (default: 16
         sampling intervals), so events interleave with the simulation at
         the right times.  After the run, :meth:`finalize` drains the
-        tail and closes the stream.
+        tail and closes the session.
         """
         interval = (poll_interval if poll_interval is not None
                     else 16.0 * machine.config.sampling_interval)
@@ -412,9 +311,11 @@ class LiveWatcher:
         crash_reason: Optional[str] = None,
         t: Optional[float] = None,
     ) -> Dict[str, object]:
-        """Close the stream: drain the tail, emit ``crash`` + ``end``.
+        """Close the session: drain the tail, record ``crash`` + ``end``.
 
-        Returns the ``end`` event (the machine-readable session summary).
+        Returns the session summary (the fields of the ``end`` record:
+        ``sim_t``, counts, detector state, alarm/crash/lead times and
+        alert counts by rule).
         """
         if self._finalized:
             raise TraceError("watch session already finalized")
@@ -427,28 +328,32 @@ class LiveWatcher:
                 crash_reason = machine.crash_reason
         end_t = t
         if end_t is None:
-            end_t = self.writer.last_t if self.writer.last_t is not None else 0.0
+            end_t = self._last_t if self._last_t is not None else 0.0
         if crash_time is not None:
             end_t = max(end_t, float(crash_time))
-            self.writer.emit("crash", float(crash_time),
-                             reason=crash_reason or "unknown")
+            self._event("crash", float(crash_time),
+                        reason=crash_reason or "unknown")
         alarm_time = self.monitor.alarm_time
         lead = None
         if alarm_time is not None and crash_time is not None:
             lead = float(crash_time) - float(alarm_time)
-        alerts = {} if self.engine is None else self.engine.counts()
-        end = self.writer.emit(
-            "end", end_t,
-            n_samples=self.n_samples,
-            n_dropped=self.n_dropped,
-            n_indicators=self._n_indicators,
-            state=self.monitor.state,
-            alarm_time=alarm_time,
-            crash_time=crash_time,
-            crash_reason=crash_reason,
-            lead_time=lead,
-            alerts=alerts,
-        )
+        end = {
+            "sim_t": float(end_t),
+            "n_samples": self.n_samples,
+            "n_dropped": self.n_dropped,
+            "n_indicators": self._n_indicators,
+            "state": self.monitor.state,
+            "alarm_time": alarm_time,
+            "crash_time": crash_time,
+            "crash_reason": crash_reason,
+            "lead_time": lead,
+            "alerts": {} if self.engine is None else self.engine.counts(),
+        }
+        if self.timeline is not None:
+            if self.timeline.board is not None:
+                self.timeline.board.finish(end["state"], alarm_time=alarm_time,
+                                           crash_time=crash_time)
+            self.timeline.finalize("ok", **end)
         _log.info("watch session finished", n_samples=self.n_samples,
                   state=self.monitor.state,
                   alarm_time=alarm_time if alarm_time is not None else "none",
@@ -457,33 +362,43 @@ class LiveWatcher:
 
     # -- monitor callbacks -----------------------------------------------------
 
+    def _observe(self, signal: str, t: float, value: float) -> None:
+        """Offer one value to the rules; record and mirror each firing."""
+        for firing in self.engine.observe(signal, t, value):
+            self._event("alert", firing.time, rule=firing.rule,
+                        severity=firing.severity, signal=firing.signal,
+                        value=firing.value, message=firing.message)
+            _obs.record_event("alert", sim_time=firing.time, rule=firing.rule,
+                              severity=firing.severity, signal=firing.signal,
+                              value=firing.value)
+            _obs.counter("watch.alerts_fired").inc()
+            _obs.counter(f"watch.alerts_fired.{firing.rule}").inc()
+
     def _on_indicator(self, t: float, value: float) -> None:
         self._n_indicators += 1
-        self.writer.emit("indicator", t, value=value, n=self._n_indicators)
+        self._event("indicator", t, value=value, n=self._n_indicators)
         if self.engine is not None:
-            for firing in self.engine.observe("indicator", t, value):
-                self.writer.emit_alert(firing)
+            self._observe("indicator", t, value)
 
     def _on_state_change(self, t: float, old: str, new: str) -> None:
-        self.writer.emit("detector_state", t, state=new, previous=old)
+        self._event("detector_state", t, state=new, previous=old)
         if new == "alarmed":
             point = float(self.monitor.indicator_history[-1])
-            self.writer.emit(
-                "alarm", t, indicator=point,
-                value=point, baseline=self.monitor.baseline_mean,
-            )
+            self._event("alarm", t, indicator=point, value=point,
+                        baseline=self.monitor.baseline_mean)
             _obs.counter("watch.alarms").inc()
 
     # -- status ----------------------------------------------------------------
 
     def _emit_status(self, t: float) -> None:
-        event = self.writer.emit(
-            "status", t,
-            state=self.monitor.state,
-            n_samples=self.n_samples,
-            n_indicators=self._n_indicators,
-            alerts_fired=0 if self.engine is None else self.engine.total_fired,
-            value=self._last_value,
-        )
+        status = {
+            "state": self.monitor.state,
+            "n_samples": self.n_samples,
+            "n_indicators": self._n_indicators,
+            "alerts_fired": (0 if self.engine is None
+                             else self.engine.total_fired),
+            "value": self._last_value,
+        }
+        self._event("status", t, **status)
         if self.on_status is not None:
-            self.on_status(event)
+            self.on_status({"t": t, **status})

@@ -156,15 +156,33 @@ class TimelineRecorder:
         self._last_t = t
         return t
 
-    def _emit(self, record: dict) -> None:
+    def _emit(self, kind: str, fields: Dict[str, object]) -> dict:
+        """Stamp one record (``t``, ``wall_time``, a frame's ``seq``) and
+        append it.  Stamping and appending share one lock, so records from
+        the frame thread and from annotating threads land in time order."""
         with self._lock:
-            self._ring.append(record)
-            if self._handle is not None:
-                try:
-                    self._handle.write(json.dumps(record) + "\n")
-                    self._handle.flush()
-                except (OSError, ValueError):  # pragma: no cover - disk full
-                    pass
+            record: Dict[str, object] = {"kind": kind}
+            if kind == "frame":
+                record["seq"] = self._seq
+                self._seq += 1
+                self.n_frames += 1
+            elif kind == "annotation":
+                self.n_annotations += 1
+            record["t"] = round(self._now(), 6)
+            record["wall_time"] = self._wall_clock()
+            record.update(fields)
+            self._append(record)
+        return record
+
+    def _append(self, record: dict) -> None:
+        """Ring + artifact append; the caller holds ``self._lock``."""
+        self._ring.append(record)
+        if self._handle is not None:
+            try:
+                self._handle.write(json.dumps(record) + "\n")
+                self._handle.flush()
+            except (OSError, ValueError):  # pragma: no cover - disk full
+                pass
 
     # -- frames ----------------------------------------------------------------
 
@@ -183,7 +201,6 @@ class TimelineRecorder:
 
     def sample_once(self) -> dict:
         """Take one frame now; append it to ring + artifact; return it."""
-        t = self._now()
         totals = self._counter_totals()
         deltas = {
             name: value - self._prev_counters.get(name, 0)
@@ -198,24 +215,16 @@ class TimelineRecorder:
         resources = None
         if self.resources is not None:
             resources = self.resources.latest_compact()
-        frame = {
-            "kind": "frame",
-            "seq": self._seq,
-            "t": round(t, 6),
-            "wall_time": self._wall_clock(),
+        frame = self._emit("frame", {
             "counters": totals,
             "deltas": deltas,
             "progress": progress,
             "resources": resources,
-        }
-        self._seq += 1
-        self.n_frames += 1
-        self._emit(frame)
-        self._check_alert_annotations(t, resources)
+        })
+        self._check_alert_annotations(resources)
         return frame
 
-    def _check_alert_annotations(self, t: float,
-                                 resources: Optional[dict]) -> None:
+    def _check_alert_annotations(self, resources: Optional[dict]) -> None:
         """Self-watch firings surface as annotations via per-frame deltas."""
         if not resources:
             return
@@ -229,16 +238,7 @@ class TimelineRecorder:
 
     def annotate(self, event: str, /, **fields) -> dict:
         """Append one discrete annotation record at the current time."""
-        record = {
-            "kind": "annotation",
-            "t": round(self._now(), 6),
-            "wall_time": self._wall_clock(),
-            "event": event,
-            **fields,
-        }
-        self.n_annotations += 1
-        self._emit(record)
-        return record
+        return self._emit("annotation", {"event": event, **fields})
 
     def _on_note(self, kind: str, fields: Dict[str, object]) -> None:
         """Operational-note listener: map pool/ops notes to annotations."""
@@ -288,7 +288,8 @@ class TimelineRecorder:
             "interval": self.interval,
             **({"fields": self.fields} if self.fields else {}),
         }
-        self._emit(header)
+        with self._lock:
+            self._append(header)
         _ops.add_note_listener(self._on_note)
         self._stop.clear()
         self._thread = threading.Thread(
@@ -315,11 +316,13 @@ class TimelineRecorder:
         with self._lock:
             return list(self._ring)
 
-    def finalize(self, status: str = "ok") -> Optional[str]:
+    def finalize(self, status: str = "ok", **fields) -> Optional[str]:
         """Stop sampling, write the ``end`` record, publish atomically.
 
-        Returns the artifact path (None for memory-only recorders).
-        Idempotent; safe to call from a ``finally`` block.
+        ``fields`` are added to the ``end`` record (a watch session's
+        summary lands there).  Returns the artifact path (None for
+        memory-only recorders).  Idempotent; safe to call from a
+        ``finally`` block.
         """
         if not self._started or self._finalized:
             return self.path if self._finalized else None
@@ -333,13 +336,11 @@ class TimelineRecorder:
             self.sample_once()
         except Exception:  # pragma: no cover - final frame is best-effort
             pass
-        self._emit({
-            "kind": "end",
-            "t": round(self._now(), 6),
-            "wall_time": self._wall_clock(),
+        self._emit("end", {
             "status": status,
             "frames": self.n_frames,
             "annotations": self.n_annotations,
+            **fields,
         })
         if self._ctx is not None:
             try:

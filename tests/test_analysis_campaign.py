@@ -292,7 +292,7 @@ class TestRunCellErrorHandling:
 
         monkeypatch.setattr(detector_registry, "analyze_counter", bust)
         with _obs.telemetry_session() as session:
-            result = campaign_mod.run_cell(self.SPEC)
+            result = campaign_mod.run_campaign([self.SPEC])["tiny"]
             failures = session.metrics.counter(
                 "campaign.analysis_failures").value
         assert result.runs[0].alarm_time is None
@@ -308,4 +308,4 @@ class TestRunCellErrorHandling:
 
         monkeypatch.setattr(detector_registry, "analyze_counter", crash)
         with pytest.raises(ZeroDivisionError):
-            campaign_mod.run_cell(self.SPEC)
+            campaign_mod.run_campaign([self.SPEC])

@@ -101,11 +101,11 @@ class TestParser:
     def test_watch_args(self):
         args = build_parser().parse_args(
             ["watch", "--scenario", "stress", "--seed", "3",
-             "--alerts", "rules.toml", "--events", "out.jsonl",
+             "--alerts", "rules.toml", "--timeline", "out.jsonl",
              "--chunk-size", "64"])
         assert args.scenario == "stress"
         assert args.alerts == "rules.toml"
-        assert args.events == "out.jsonl"
+        assert args.timeline == "out.jsonl"
         assert args.chunk_size == 64
         defaults = build_parser().parse_args(["watch"])
         assert defaults.scenario is None and defaults.trace is None
@@ -407,11 +407,11 @@ class TestWatchCli:
             'kind = "threshold"\nop = "lt"\nvalue = 100e6\n'
             'severity = "critical"\n'
         )
-        events_path = tmp_path / "out.jsonl"
+        timeline_path = tmp_path / "out.jsonl"
         html_path = tmp_path / "report.html"
         code = main(["watch", "--trace", str(path),
                      "--alerts", str(rules),
-                     "--events", str(events_path),
+                     "--timeline", str(timeline_path),
                      "--dashboard", str(html_path),
                      "--quiet"])
         assert code == 0
@@ -420,12 +420,14 @@ class TestWatchCli:
         assert "crashed" in out
 
         # The stream on disk validates and the alarm precedes the crash.
-        from repro.obs.live import read_events, validate_stream
+        from repro.obs.live import validate_watch_timeline
+        from repro.obs.timeline import read_timeline
 
-        events = read_events(events_path)
-        counts = validate_stream(events)
+        records = read_timeline(timeline_path)
+        counts = validate_watch_timeline(records)
         assert counts["alarm"] == 1
-        end = events[-1]
+        assert counts["crash"] == 1
+        end = records[-1]
         assert end["kind"] == "end"
         assert end["alarm_time"] < end["crash_time"]
         assert end["crash_time"] == pytest.approx(result.crash_time)
@@ -483,15 +485,59 @@ class TestWatchCli:
         assert manifest["command"] == "watch"
         assert manifest["outcome"]["alarm_time"] is not None
 
+    def test_watch_quiet_retains_no_records(self, short_trace, monkeypatch,
+                                            capsys):
+        # With no output requested the watch builds no recorder, so a
+        # long-running watch holds no per-event records.
+        from repro.obs import live, timeline
+
+        watchers = []
+        init = live.LiveWatcher.__init__
+
+        def capture(watcher, monitor, **kwargs):
+            init(watcher, monitor, **kwargs)
+            watchers.append(watcher)
+
+        def no_recorder(*args, **kwargs):
+            raise AssertionError("watch --quiet built a timeline recorder")
+
+        monkeypatch.setattr(live.LiveWatcher, "__init__", capture)
+        monkeypatch.setattr(timeline.TimelineRecorder, "__init__",
+                            no_recorder)
+        path, _ = short_trace
+        assert main(["watch", "--trace", str(path), "--quiet"]) == 0
+        watcher, = watchers
+        assert watcher.timeline is None
+        assert watcher.n_samples > 0
+        assert "watch finished:" in capsys.readouterr().out
+
+    def test_watch_dashboard_alone_leaves_no_timeline(self, short_trace,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        # --dashboard without --timeline renders from a temporary
+        # timeline that is removed afterwards.
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        path, _ = short_trace
+        html_path = tmp_path / "report.html"
+        assert main(["watch", "--trace", str(path), "--quiet",
+                     "--dashboard", str(html_path)]) == 0
+        assert "dashboard ->" in capsys.readouterr().out
+        assert html_path.read_text().startswith("<!DOCTYPE html>")
+        assert list(scratch.iterdir()) == []
+
 
 class TestDashboardCli:
     def test_run_dashboard_from_jsonl(self, short_trace, tmp_path, capsys):
         path, _ = short_trace
-        events_path = tmp_path / "out.jsonl"
+        timeline_path = tmp_path / "out.jsonl"
         assert main(["watch", "--trace", str(path), "--quiet",
-                     "--events", str(events_path)]) == 0
+                     "--timeline", str(timeline_path)]) == 0
         html_path = tmp_path / "report.html"
-        code = main(["dashboard", str(events_path), "-o", str(html_path)])
+        code = main(["dashboard", str(timeline_path), "-o", str(html_path)])
         assert code == 0
         assert "run dashboard" in capsys.readouterr().out
         assert html_path.read_text().startswith("<!DOCTYPE html>")

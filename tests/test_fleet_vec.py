@@ -305,7 +305,7 @@ class TestEdgeCases:
 class TestCampaignVector:
     def test_run_cell_vector_matches_structure(self):
         from repro.analysis.campaign import (
-            ExperimentSpec, cells_payload, run_cell,
+            ExperimentSpec, cells_payload, run_campaign,
         )
 
         spec_v = ExperimentSpec(name="v", scenario="stress", n_runs=2,
@@ -314,8 +314,8 @@ class TestCampaignVector:
         spec_o = ExperimentSpec(name="v", scenario="stress", n_runs=2,
                                 base_seed=3, fault_factor=4.0,
                                 max_run_seconds=3_000.0, engine="object")
-        pv = cells_payload({"v": run_cell(spec_v)})["v"]
-        po = cells_payload({"v": run_cell(spec_o)})["v"]
+        pv = cells_payload(run_campaign([spec_v]))["v"]
+        po = cells_payload(run_campaign([spec_o]))["v"]
         assert set(pv) == set(po)
         assert len(pv["runs"]) == len(po["runs"])
         assert [r["seed"] for r in pv["runs"]] == [r["seed"] for r in po["runs"]]

@@ -15,8 +15,14 @@ from repro.obs.dashboard import (
     render_run_dashboard,
     write_dashboard,
 )
-from repro.obs.live import EventStreamWriter, LiveWatcher
+from repro.obs.live import LiveWatcher
 from repro.obs.manifest import RunManifest
+from repro.obs.timeline import TimelineRecorder
+
+
+def memory_recorder():
+    """A memory-only recorder whose ring holds a whole test session."""
+    return TimelineRecorder(None, interval=60.0, ring=100_000)
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +38,14 @@ def watch_events():
     engine = AlertEngine([AlertRule(
         name="ind-low", signal="indicator", kind="threshold", op="lt",
         value=0.0, severity="critical")])
-    watcher = LiveWatcher(monitor, writer=EventStreamWriter(keep=True),
+    watcher = LiveWatcher(monitor, timeline=memory_recorder(),
                           counter="x", engine=engine, sample_every=8,
                           status_every=1000.0)
     watcher.write_header({"type": "test", "seed": 31})
     for i, value in enumerate(x):
         watcher.feed(float(i), float(value))
     watcher.finalize(crash_time=float(x.size), crash_reason="memory")
-    return watcher.writer.events
+    return watcher.timeline.records()
 
 
 def cells_fixture():
@@ -104,21 +110,25 @@ class TestRunDashboard:
         assert "&lt;script&gt;" in html
 
     def test_rejects_invalid_stream(self):
-        with pytest.raises(TraceError):
+        with pytest.raises(ValidationError):
             render_run_dashboard([{"kind": "sample", "t": 0.0, "value": 1.0}])
+        # A campaign timeline is not a watch session.
+        with pytest.raises(TraceError, match="not a watch timeline"):
+            render_run_dashboard([{"kind": "header", "t": 0.0,
+                                   "schema": "repro.timeline/1"}])
 
     def test_quiet_run_renders(self):
         # A short, healthy watch (no alarm, no crash, no alerts).
         monitor = OnlineAgingMonitor(chunk_size=128, history=512,
                                      indicator_window=256, n_warmup=1,
                                      n_calibration=10)
-        watcher = LiveWatcher(monitor, writer=EventStreamWriter(keep=True),
+        watcher = LiveWatcher(monitor, timeline=memory_recorder(),
                               counter="x")
         watcher.write_header({"type": "test"})
         for i in range(300):
             watcher.feed(float(i), 100.0 + (i % 7))
         watcher.finalize()
-        html = render_run_dashboard(watcher.writer.events)
+        html = render_run_dashboard(watcher.timeline.records())
         assert "no alerts fired" in html
         assert "survived" in html
 
@@ -183,10 +193,12 @@ class TestGoldenBytes:
     """Byte-identity freeze: extracting the shared chart helpers into
     repro.obs._chart and adding timeline/cost panels must not change a
     single byte of existing dashboards.  These hashes were taken from
-    the pre-refactor renderer on fixed synthetic inputs."""
+    the pre-refactor renderer on fixed synthetic inputs.  RUN_SHA was
+    retaken when watch sessions moved onto the timeline stream: the page
+    differs from the old one in its footer line only."""
 
-    RUN_SHA = ("6918bfa32b18a953b68d0d37c108056371b276d0"
-               "7578e35c9055c95919ff4cba")
+    RUN_SHA = ("f3c7d3606f4d8156d7d35fdc60a3a4ef8bbcfde1"
+               "976037140db95f37ec957e2c")
     CAMPAIGN_SHA = ("2fe933a2d2e274f1347cab2577687218aefa095b"
                     "8d6a8624b3a04ccbaedb4de9")
 
@@ -194,13 +206,13 @@ class TestGoldenBytes:
         monitor = OnlineAgingMonitor(chunk_size=128, history=512,
                                      indicator_window=256, n_warmup=1,
                                      n_calibration=10)
-        watcher = LiveWatcher(monitor, writer=EventStreamWriter(keep=True),
+        watcher = LiveWatcher(monitor, timeline=memory_recorder(),
                               counter="x")
         watcher.write_header({"type": "golden", "seed": 0})
         for i in range(600):
             watcher.feed(float(i), 100.0 + (i % 7) - (i % 13))
         watcher.finalize()
-        return watcher.writer.events
+        return watcher.timeline.records()
 
     def test_run_dashboard_bytes_frozen(self):
         import hashlib

@@ -1,23 +1,20 @@
-"""Tests for the live watch event stream (repro.obs.live)."""
+"""Tests for live watch sessions (repro.obs.live) and their timeline stream."""
 
-import io
 import json
-import math
 
 import numpy as np
 import pytest
 
 from repro.core import OnlineAgingMonitor
-from repro.exceptions import TraceError
+from repro.exceptions import ReproError, TraceError
 from repro.generators import fbm
 from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.live import (
-    WATCH_SCHEMA,
-    EventStreamWriter,
-    LiveWatcher,
-    read_events,
-    validate_event,
-    validate_stream,
+from repro.obs.live import LiveWatcher, validate_watch_timeline
+from repro.obs.timeline import (
+    TIMELINE_SCHEMA,
+    TimelineRecorder,
+    read_timeline,
+    validate_timeline,
 )
 
 
@@ -28,80 +25,125 @@ def fast_monitor(**overrides):
     return OnlineAgingMonitor(**kwargs)
 
 
+_RECORDERS = []
+
+
+@pytest.fixture(autouse=True)
+def _finalize_recorders():
+    """Finalize every recorder a test made, so no frame thread or
+    note listener outlives the test."""
+    yield
+    while _RECORDERS:
+        _RECORDERS.pop().finalize()
+
+
+def memory_recorder():
+    """A memory-only recorder whose ring holds a whole test session."""
+    recorder = TimelineRecorder(None, interval=60.0, ring=100_000)
+    _RECORDERS.append(recorder)
+    return recorder
+
+
 def make_watcher(**overrides):
-    kwargs = dict(writer=EventStreamWriter(keep=True), counter="x",
-                  status_every=0.0)
+    kwargs = dict(timeline=memory_recorder(), counter="x", status_every=0.0)
     kwargs.update(overrides)
     return LiveWatcher(fast_monitor(), **kwargs)
 
 
+def annotations(watcher, event=None):
+    """The watch annotations a watcher recorded (optionally one event)."""
+    return [r for r in watcher.timeline.records()
+            if r["kind"] == "annotation"
+            and (event is None or r["event"] == event)]
+
+
+def watch_stream(*events, end=None):
+    """A hand-built watch timeline: header, one annotation per event
+    (``t`` counting up from 1), then ``end`` when given."""
+    records = [{"kind": "header", "schema": TIMELINE_SCHEMA, "t": 0.0,
+                "fields": {"counter": "x", "source": {}, "monitor": {},
+                           "rules": []}}]
+    for i, event in enumerate(events, start=1):
+        records.append({"kind": "annotation", "t": float(i), **event})
+    if end is not None:
+        records.append({"kind": "end", "t": float(len(events) + 1), **end})
+    return records
+
+
+GOOD_END = {"sim_t": 9.0, "n_samples": 1, "n_indicators": 0,
+            "state": "buffering", "alarm_time": None, "crash_time": 9.0,
+            "lead_time": None, "alerts": {}}
+
+
 class TestValidation:
+    """The disk-side checks a watch timeline gets when it is read back."""
+
     def test_good_events_pass(self):
-        validate_event({"kind": "sample", "t": 1.0, "value": 3.0})
-        validate_event({"kind": "crash", "t": 9.0, "reason": "memory"})
+        counts = validate_watch_timeline(watch_stream(
+            {"event": "sample", "sim_t": 1.0, "value": 3.0},
+            {"event": "crash", "sim_t": 9.0, "reason": "memory"},
+            end=GOOD_END))
+        assert counts == {"sample": 1, "crash": 1, "end": 1}
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(TraceError, match="unknown event kind"):
-            validate_event({"kind": "mystery", "t": 0.0})
+        with pytest.raises(TraceError, match="unknown watch event"):
+            validate_watch_timeline(watch_stream(
+                {"event": "mystery", "sim_t": 0.0}))
 
     def test_missing_fields_rejected(self):
         with pytest.raises(TraceError, match="missing"):
-            validate_event({"kind": "sample", "t": 0.0})
+            validate_watch_timeline(watch_stream(
+                {"event": "sample", "sim_t": 0.0}))
+        with pytest.raises(TraceError, match="end missing"):
+            validate_watch_timeline(watch_stream(
+                end={"sim_t": 1.0, "n_samples": 0}))
 
     def test_nonfinite_time_rejected(self):
-        with pytest.raises(TraceError, match="finite"):
-            validate_event({"kind": "sample", "t": float("nan"), "value": 1.0})
+        for sim_t in (float("nan"), float("inf"), None, "1.0", True):
+            with pytest.raises(TraceError, match="finite"):
+                validate_watch_timeline(watch_stream(
+                    {"event": "sample", "sim_t": sim_t, "value": 1.0}))
 
     def test_non_numeric_value_rejected(self):
         with pytest.raises(TraceError, match="numeric"):
-            validate_event({"kind": "sample", "t": 0.0, "value": "big"})
+            validate_watch_timeline(watch_stream(
+                {"event": "sample", "sim_t": 0.0, "value": "big"}))
+        with pytest.raises(TraceError, match="numeric"):
+            validate_watch_timeline(watch_stream(
+                {"event": "alarm", "sim_t": 0.0, "indicator": 0.1,
+                 "value": 0.1, "baseline": None}))
 
     def test_foreign_schema_rejected(self):
-        with pytest.raises(TraceError, match="schema"):
-            validate_event({"kind": "header", "t": 0.0, "schema": "foo/9",
-                            "counter": "x", "source": {}, "monitor": {},
-                            "rules": []})
+        records = watch_stream()
+        records[0]["schema"] = "foo/9"
+        with pytest.raises(ReproError, match="schema"):
+            validate_watch_timeline(records)
+        # A timeline that is not a watch session (a campaign's) is
+        # refused by its header identity.
+        campaign = [{"kind": "header", "schema": TIMELINE_SCHEMA, "t": 0.0}]
+        with pytest.raises(TraceError, match="not a watch timeline"):
+            validate_watch_timeline(campaign)
 
     def test_stream_must_open_with_header(self):
-        with pytest.raises(TraceError, match="header"):
-            validate_stream([{"kind": "sample", "t": 0.0, "value": 1.0}])
+        with pytest.raises(ReproError, match="header"):
+            validate_watch_timeline([{"kind": "annotation", "t": 0.0,
+                                      "event": "sample", "sim_t": 0.0,
+                                      "value": 1.0}])
 
     def test_stream_time_monotonicity(self):
-        header = {"kind": "header", "t": 0.0, "schema": WATCH_SCHEMA,
-                  "counter": "x", "source": {}, "monitor": {}, "rules": []}
         with pytest.raises(TraceError, match="backwards"):
-            validate_stream([
-                header,
-                {"kind": "sample", "t": 5.0, "value": 1.0},
-                {"kind": "sample", "t": 4.0, "value": 1.0},
-            ])
+            validate_watch_timeline(watch_stream(
+                {"event": "sample", "sim_t": 5.0, "value": 1.0},
+                {"event": "sample", "sim_t": 4.0, "value": 1.0}))
+        # The end record's sim_t counts too.
+        with pytest.raises(TraceError, match="backwards"):
+            validate_watch_timeline(watch_stream(
+                {"event": "sample", "sim_t": 10.0, "value": 1.0},
+                end=GOOD_END))
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(TraceError, match="empty"):
-            validate_stream([])
-
-
-class TestEventStreamWriter:
-    def test_writes_jsonl_lines(self):
-        buf = io.StringIO()
-        writer = EventStreamWriter(buf)
-        writer.emit("sample", 1.0, value=2.0)
-        writer.emit("sample", 2.0, value=3.0)
-        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-        assert [e["t"] for e in lines] == [1.0, 2.0]
-        assert writer.n_events == 2
-        assert writer.last_t == 2.0
-
-    def test_rejects_backwards_time(self):
-        writer = EventStreamWriter()
-        writer.emit("sample", 5.0, value=1.0)
-        with pytest.raises(TraceError, match="backwards"):
-            writer.emit("sample", 4.0, value=1.0)
-
-    def test_rejects_invalid_event(self):
-        writer = EventStreamWriter()
-        with pytest.raises(TraceError):
-            writer.emit("sample", 1.0)  # no value
+        with pytest.raises(ReproError, match="empty"):
+            validate_watch_timeline([])
 
 
 class TestLiveWatcher:
@@ -126,8 +168,8 @@ class TestLiveWatcher:
         watcher.write_header({"type": "test"})
         for i in range(16):
             watcher.feed(float(i), float(i))
-        counts = watcher.writer.counts
-        assert counts["sample"] == 4  # every 4th of 16
+        samples = annotations(watcher, "sample")
+        assert [r["sim_t"] for r in samples] == [0.0, 4.0, 8.0, 12.0]
         # The monitor still saw every sample.
         assert watcher.monitor.n_samples == 16
 
@@ -147,9 +189,9 @@ class TestLiveWatcher:
             watcher.feed(float(i), float(value))
         end = watcher.finalize(crash_time=float(x.size), crash_reason="memory")
 
-        events = watcher.writer.events
-        counts = validate_stream(events)
-        assert counts["header"] == 1
+        records = watcher.timeline.records()
+        assert validate_timeline(records)["end"] == 1
+        counts = validate_watch_timeline(records)
         assert counts["crash"] == 1
         assert counts["end"] == 1
         assert counts["indicator"] >= 1
@@ -159,8 +201,12 @@ class TestLiveWatcher:
         assert end["alarm_time"] is not None
         assert end["lead_time"] > 0
         assert end["state"] == "alarmed"
+        # The summary is the end record's payload.
+        assert {k: records[-1][k] for k in end} == end
+        assert records[0]["fields"]["source"] == {"type": "test"}
+        assert records[0]["fields"]["rules"][0]["name"] == "ind-low"
         # detector_state transitions arrive in lifecycle order.
-        states = [e["state"] for e in events if e["kind"] == "detector_state"]
+        states = [r["state"] for r in annotations(watcher, "detector_state")]
         assert states[0] == "calibrating"
         assert states[-1] == "alarmed"
 
@@ -170,9 +216,10 @@ class TestLiveWatcher:
         watcher.write_header({"type": "test"})
         for i in range(401):
             watcher.feed(float(i), 1.0 + 0.01 * i)
-        assert watcher.writer.counts.get("status", 0) == 4
+        assert len(annotations(watcher, "status")) == 4
         assert len(lines) == 4
         assert lines[0]["state"] in ("buffering", "calibrating")
+        assert lines[0]["t"] == 100.0
 
     def test_finalize_without_crash(self):
         watcher = make_watcher()
@@ -181,7 +228,7 @@ class TestLiveWatcher:
         end = watcher.finalize()
         assert end["crash_time"] is None
         assert end["lead_time"] is None
-        assert watcher.writer.counts.get("crash", 0) == 0
+        assert annotations(watcher, "crash") == []
 
     def test_finalize_twice_rejected(self):
         watcher = make_watcher()
@@ -189,6 +236,16 @@ class TestLiveWatcher:
         watcher.finalize()
         with pytest.raises(TraceError, match="finalized"):
             watcher.finalize()
+
+    def test_no_recorder_keeps_no_records(self):
+        watcher = LiveWatcher(fast_monitor(), counter="x", status_every=10.0)
+        watcher.write_header({"type": "test"})
+        for i in range(600):
+            watcher.feed(float(i), 100.0 + (i % 7))
+        end = watcher.finalize(crash_time=600.0, crash_reason="memory")
+        assert end["n_samples"] == 600
+        assert end["sim_t"] == 600.0
+        assert end["crash_time"] == 600.0
 
 
 class TestLiveAttachment:
@@ -199,7 +256,7 @@ class TestLiveAttachment:
         machine = build_scenario("stress", seed=7, max_run_seconds=20_000.0)
         monitor = OnlineAgingMonitor(chunk_size=128, history=2048,
                                      indicator_window=512, n_calibration=10)
-        watcher = LiveWatcher(monitor, writer=EventStreamWriter(keep=True),
+        watcher = LiveWatcher(monitor, timeline=memory_recorder(),
                               sample_every=8)
         watcher.attach(machine)
         machine.run()
@@ -208,7 +265,7 @@ class TestLiveAttachment:
 
     def test_stream_valid_and_alarm_precedes_crash(self, watched_run):
         machine, watcher, end = watched_run
-        counts = validate_stream(watcher.writer.events)
+        counts = validate_watch_timeline(watcher.timeline.records())
         assert counts["alarm"] == 1
         assert counts["crash"] == 1
         assert end["alarm_time"] < end["crash_time"]
@@ -223,26 +280,22 @@ class TestLiveAttachment:
     def test_replay_reproduces_live_detection(self, watched_run):
         _, _, live_end = watched_run
         from repro.memsim.scenarios import build_scenario
-        from repro.trace import read_csv, write_csv
 
         machine = build_scenario("stress", seed=7, max_run_seconds=20_000.0)
         result = machine.run()
         monitor = OnlineAgingMonitor(chunk_size=128, history=2048,
                                      indicator_window=512, n_calibration=10)
-        watcher = LiveWatcher(monitor, writer=EventStreamWriter(keep=True),
+        watcher = LiveWatcher(monitor, timeline=memory_recorder(),
                               sample_every=0)
         end = watcher.replay(result.bundle)
         assert end["alarm_time"] == live_end["alarm_time"]
         assert end["crash_time"] == pytest.approx(live_end["crash_time"])
-        header = watcher.writer.events[0]
-        assert header["source"]["type"] == "replay"
+        header = watcher.timeline.records()[0]
+        assert header["fields"]["source"]["type"] == "replay"
 
     def test_replay_unknown_counter_rejected(self, watched_run):
-        machine, _, _ = watched_run
-
         monitor = fast_monitor()
         watcher = LiveWatcher(monitor, counter="NoSuchCounter")
-        # Rebuild a bundle from the machine's sampler.
         from repro.memsim.scenarios import build_scenario
 
         m2 = build_scenario("stress", seed=3, max_run_seconds=300.0)
@@ -253,33 +306,47 @@ class TestLiveAttachment:
 
 class TestRoundTrip:
     def test_read_events_validates(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with open(path, "w") as handle:
-            writer = EventStreamWriter(handle)
-            watcher = LiveWatcher(fast_monitor(), writer=writer, counter="x")
-            watcher.write_header({"type": "test"})
-            watcher.feed(0.0, 1.0)
-            watcher.finalize()
-        events = read_events(path)
-        assert events[0]["kind"] == "header"
-        assert events[-1]["kind"] == "end"
-
-    def test_read_events_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"kind": "header"\n')
-        with pytest.raises(TraceError, match="bad JSON"):
-            read_events(path)
-
-    def test_prometheus_export(self):
-        from repro.obs.export import watch_events_to_prometheus
-
-        watcher = make_watcher()
+        path = tmp_path / "watch.jsonl"
+        watcher = LiveWatcher(fast_monitor(), counter="x",
+                              timeline=TimelineRecorder(path, interval=60.0))
         watcher.write_header({"type": "test"})
         watcher.feed(0.0, 1.0)
+        watcher.finalize(crash_time=5.0, crash_reason="memory")
+        records = read_timeline(path)
+        assert records[0]["kind"] == "header"
+        assert records[-1]["kind"] == "end"
+        assert records[-1]["crash_time"] == 5.0
+        counts = validate_watch_timeline(records)
+        assert counts == {"sample": 1, "crash": 1, "end": 1}
+
+    def test_read_events_rejects_bad_json(self, tmp_path):
+        path = tmp_path / "watch.jsonl"
+        header = {"kind": "header", "schema": TIMELINE_SCHEMA, "t": 0.0}
+        path.write_text(json.dumps(header) + '\n{"kind": "annot\n'
+                        + json.dumps({"kind": "end", "t": 1.0}) + "\n")
+        with pytest.raises(ReproError, match="corrupt"):
+            read_timeline(path)
+
+    def test_prometheus_export(self):
+        from repro.obs.export import timeline_to_prometheus
+
+        engine = AlertEngine([AlertRule(
+            name="low", signal="x", kind="threshold", op="lt", value=0.5,
+            severity="critical")])
+        watcher = make_watcher(engine=engine)
+        watcher.write_header({"type": "test"})
+        watcher.feed(0.0, 1.0)
+        watcher.feed(1.0, 0.1)
         watcher.finalize(crash_time=10.0, crash_reason="memory")
-        text = watch_events_to_prometheus(watcher.writer.events)
-        assert "repro_watch_events_total" in text
-        assert 'repro_watch_crash_time_seconds' in text
+        text = timeline_to_prometheus(watcher.timeline.records())
+        assert 'repro_timeline_annotations_total{event="sample"} 2' in text
+        assert ('repro_watch_alerts_fired_total{rule="low",'
+                'severity="critical"} 1') in text
+        assert "repro_watch_crash_time_seconds 10.0" in text
+        # No alarm: the gauge is omitted, not exported as a fake value.
+        assert "repro_watch_alarm_time_seconds" not in text
+        assert "repro_watch_lead_seconds" not in text
+        assert text.rstrip().endswith("# EOF")
 
 
 class TestSamplerCursor:
@@ -295,3 +362,4 @@ class TestSamplerCursor:
         assert tail_t == [] or len(tail_t) == cursor2 - cursor
         with pytest.raises(TraceError, match="non-negative"):
             sampler.read_since("AvailableBytes", -1)
+

@@ -7,6 +7,7 @@ observation-only guarantee."""
 import csv
 import io
 import json
+import sys
 import threading
 import time
 
@@ -235,6 +236,40 @@ class TestTimelineRecorder:
             t.name for t in threading.enumerate()}
         counts = validate_timeline(read_timeline(path))
         assert counts["frame"] >= 2
+
+    def test_concurrent_frames_and_annotations_stay_in_time_order(
+            self, tmp_path):
+        # Frames every 0.5 ms from the recorder thread race 20 000
+        # annotations from two more threads (more threads than cores,
+        # switching often); each record's t and seq must be stamped in
+        # the order the records land in the stream.
+        path = tmp_path / "tl.jsonl"
+        recorder = TimelineRecorder(path, interval=0.0005)
+
+        def annotate(worker):
+            for i in range(10_000):
+                recorder.annotate("sample", worker=worker, i=i)
+
+        threads = [threading.Thread(target=annotate, args=(w,))
+                   for w in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recorder.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            recorder.finalize()
+        finally:
+            sys.setswitchinterval(interval)
+        records = read_timeline(path)
+        counts = validate_timeline(records)
+        assert counts["annotation"] == 20_000
+        assert counts["frame"] >= 2
+        assert records[-1]["frames"] == counts["frame"]
+        assert records[-1]["annotations"] == 20_000
 
     def test_context_manager_records_error_status(self, tmp_path):
         path = tmp_path / "tl.jsonl"
