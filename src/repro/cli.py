@@ -58,11 +58,14 @@ Four subcommands covering the library's main workflows:
         python -m repro telemetry runs/seed7 --format prom
 
 ``bench``
-    Run the curated hot-path benchmark suite, write a versioned
-    ``BENCH_<date>_<gitsha>.json`` perf-trajectory file and compare it
-    against the latest baseline (regressions fail the run)::
+    Run the five contract gates (vector-fleet throughput and
+    equivalence, parallel campaign, online stream, trace store), write a
+    versioned ``BENCH_<date>_<gitsha>.json`` file and compare it against
+    the committed baseline in ``benchmarks/baselines``; a failed gate, a
+    regression or a case missing from the baseline fails the run::
 
-        python -m repro bench --quick --out benchmarks/results
+        python -m repro bench
+        python -m repro bench --select trace.store
         python -m repro bench --list        # table of archived trajectories
 
 ``watch``
@@ -281,37 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
                           "JSON, flat CSV, or Prometheus/OpenMetrics text")
 
     ben = sub.add_parser("bench", parents=[common],
-                         help="hot-path benchmark suite -> BENCH_*.json "
-                              "perf trajectory")
-    ben.add_argument("--quick", action="store_true",
-                     help="shrink workloads ~4-10x (CI smoke mode)")
+                         help="contract gates -> BENCH_*.json, checked "
+                              "against the committed baseline")
     ben.add_argument("--out", default="benchmarks/results", metavar="DIR",
                      help="directory for BENCH_<date>_<gitsha>.json "
                           "trajectory files (default: %(default)s)")
-    ben.add_argument("--baseline", default=None, metavar="PATH",
-                     help="BENCH file or directory to compare against "
-                          "(default: latest matching file in --out)")
-    ben.add_argument("--threshold", type=float, default=0.25,
-                     help="regression threshold as a fraction "
-                          "(default: %(default)s = 25%%)")
-    ben.add_argument("--repeats", type=int, default=None,
-                     help="timed iterations per case (default: 3 quick, "
-                          "5 full)")
+    ben.add_argument("--baseline", default="benchmarks/baselines",
+                     metavar="PATH",
+                     help="BENCH file to compare against, or a "
+                          "directory whose newest BENCH file is used "
+                          "(default: %(default)s)")
     ben.add_argument("--select", default=None, metavar="PAT[,PAT...]",
                      help="only run cases whose name contains a pattern")
-    ben.add_argument("--no-memory", action="store_true",
-                     help="skip the tracemalloc memory-peak pass")
-    ben.add_argument("--no-normalize", action="store_true",
-                     help="compare raw wall times (skip calibration "
-                          "normalization)")
-    ben.add_argument("--no-compare", action="store_true",
-                     help="write the trajectory file without comparing "
-                          "against a baseline")
     ben.add_argument("--list", action="store_true",
                      help="list archived BENCH_*.json trajectory files "
-                          "(date, sha, mode, per-case best wall) and exit")
+                          "under --out (date, sha, per-case best wall) "
+                          "and exit")
     ben.add_argument("--list-cases", action="store_true",
-                     help="list the benchmark suite's cases and exit")
+                     help="list the gated cases and exit")
 
     wat = sub.add_parser("watch", parents=[common],
                          help="live online-monitor watch over a simulation "
@@ -961,7 +951,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path suite, archive a BENCH_*.json, police regressions."""
+    """Run the contract gates, archive a BENCH_*.json, check the baseline."""
     from .obs import bench
     from .report import render_table
 
@@ -982,11 +972,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows = []
         for r in records:
             rows.append(
-                [r["created_at"][:10], r["git_sha"],
-                 "quick" if r["quick"] else "full"]
+                [r["created_at"][:10], r["git_sha"]]
                 + [r["cases"].get(name, float("nan")) for name in case_names])
         print(render_table(
-            ["date", "sha", "mode"] + [f"{n}_s" for n in case_names],
+            ["date", "sha"] + [f"{n}_s" for n in case_names],
             rows,
             title=f"Benchmark trajectories under {args.out} "
                   f"({len(records)} file(s), best wall seconds)",
@@ -1002,43 +991,34 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
 
     select = args.select.split(",") if args.select else None
-    mode = "quick" if args.quick else "full"
-    print(f"running {mode} benchmark suite "
+    print(f"running benchmark suite "
           f"({len(bench.select_cases(select))} case(s))...")
 
     def progress(name: str, record: dict) -> None:
         throughput = record["samples_per_sec"]
         rate = "-" if throughput is None else f"{throughput:,.0f}"
-        print(f"  {name:<20s} {record['wall_best'] * 1e3:9.2f} ms  "
+        print(f"  {name:<24s} {record['wall_best'] * 1e3:9.2f} ms  "
               f"{rate:>12s} samples/s")
 
-    payload = bench.run_suite(
-        quick=args.quick, repeats=args.repeats, select=select,
-        track_memory=not args.no_memory, progress=progress,
-    )
+    payload = bench.run_suite(select=select, progress=progress)
     path = bench.write_bench_file(payload, args.out)
     print(f"trajectory -> {path}")
     args._outcome.update(bench_file=path,
                          cases=sorted(payload["results"]))
 
-    if args.no_compare:
-        return 0
-    baseline_root = args.baseline if args.baseline is not None else args.out
-    baseline_path = bench.find_baseline(
-        baseline_root, quick=args.quick, exclude=path)
+    baseline_path = bench.find_baseline(args.baseline, exclude=path)
     if baseline_path is None:
-        print("no baseline to compare against (first trajectory file); "
-              "future runs will compare against this one")
-        return 0
+        print(f"error: no {bench.BENCH_PREFIX}*.json baseline under "
+              f"{args.baseline}; nothing was compared", file=sys.stderr)
+        return 1
     comparison = bench.compare_runs(
-        bench.read_bench_file(baseline_path), payload,
-        threshold=args.threshold, normalize=not args.no_normalize,
-    )
+        bench.read_bench_file(baseline_path), payload)
     print()
     print(bench.render_comparison(comparison, baseline_path=baseline_path))
     args._outcome.update(baseline=baseline_path,
-                         regressions=comparison["regressions"])
-    return 1 if comparison["regressions"] else 0
+                         regressions=comparison["regressions"],
+                         missing=comparison["missing"])
+    return 1 if comparison["regressions"] or comparison["missing"] else 0
 
 
 def cmd_watch(args: argparse.Namespace) -> int:

@@ -23,9 +23,9 @@ DESIGN.md).  Seven pieces, composable but independently usable:
   telemetry session via ``enable_telemetry(profile=True)``.
 * :mod:`repro.obs.export` — exporters rendering sessions and saved
   manifests as Prometheus/OpenMetrics text, flat JSON or CSV.
-* :mod:`repro.obs.bench` — the ``python -m repro bench`` harness:
-  curated hot-path microbenchmarks, versioned ``BENCH_*.json``
-  perf-trajectory files, and baseline regression comparison.
+* :mod:`repro.obs.bench` — the ``python -m repro bench`` contract
+  gates: five gated cases, versioned ``BENCH_*.json`` trajectory files
+  and the comparison against the committed baseline.
 * :mod:`repro.obs.live` — live watch sessions: the
   :class:`LiveWatcher` that attaches an online aging monitor (plus
   alert rules) to a running machine or a replayed trace and records

@@ -1,29 +1,38 @@
-"""Hot-path benchmark harness and the ``BENCH_*.json`` perf trajectory.
+"""The contract gates behind ``repro bench`` and their ``BENCH_*.json`` files.
 
-``python -m repro bench`` runs a curated suite of microbenchmarks over
-the library's hot paths — the stress-to-crash fleet, the Hölder
-trajectory, the multifractal estimators (WTMM, MF-DFA, the sliding
-spectrum), the wavelet transforms, the raw event engine, the full
-``analyze_counter`` pipeline, the process-pool campaign fan-out and the
-online monitor stream — and freezes the numbers into a versioned
-trajectory file::
+``python -m repro bench`` runs five gated cases.  Each case's setup
+asserts one contract of the library and raises
+:class:`~repro.exceptions.AnalysisError` when it does not hold:
+
+* ``memsim.fleet_vec`` — the vector fleet simulates at least 10x the
+  object engine's hosts/sec;
+* ``memsim.fleet_vec_equiv`` — exact batch decomposition plus the
+  cross-engine crash-time KS / crash-reason check;
+* ``campaign.parallel`` — every run of a small stress campaign crashes
+  and alarms, the pooled payload equals the sequential one, and on
+  machines with at least 4 cores the pool is at least 1.5x faster;
+* ``online.stream`` — the online monitor on the truncated Hölder tail
+  matches the full-window oracle with at least 5x fewer CWT FLOPs;
+* ``trace.store`` — the columnar trace read is at least 5x the CSV
+  read throughput.
+
+The timed iterations then freeze into a versioned trajectory file::
 
     BENCH_<YYYYMMDD>_<gitsha7>.json
 
-Each file records, per benchmark: best/mean wall seconds over N
-repeats, CPU seconds, throughput in samples/sec, and the peak traced
-allocation size of one run; plus an environment fingerprint (python,
-numpy, platform, CPU count, git SHA) and a *calibration* measurement —
-the wall time of a fixed numpy workload on this machine.  Trajectory
-files accumulate; comparing the newest file against the previous one
-(or an explicitly committed baseline) yields the regression report, and
-``compare_runs`` normalises by the calibration ratio so a slower CI
-runner is not mistaken for a slower library.
+holding, per case, best/mean wall seconds over :data:`REPEATS`
+iterations, CPU seconds, throughput and the peak traced allocation of
+one iteration, plus an environment fingerprint and a *calibration*
+measurement (the wall time of a fixed numpy workload on this machine).
+The run is compared against the committed baseline in
+``benchmarks/baselines``: :func:`compare_runs` rescales the baseline by
+the calibration ratio, so a slower runner is not mistaken for a slower
+library, and flags a case slower by more than :data:`THRESHOLD`.  A
+selected case with no baseline entry fails the comparison too.
 
-Every workload is deterministic (fixed seeds, fixed sizes), so two runs
-of the same code on the same machine time the same computation.
-``--quick`` shrinks the workloads ~4-10x for CI smoke runs; quick and
-full results are never compared against each other.
+Every workload is deterministic (fixed seeds, fixed sizes).  End-to-end
+numbers and the per-layer split come from ``perfbench/`` (declared in
+``BENCHMARK.json``), not from this harness.
 """
 
 from __future__ import annotations
@@ -38,13 +47,15 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import TraceError, ValidationError
+from ..exceptions import AnalysisError, TraceError, ValidationError
 from .atomic import atomic_write_json
 from .logger import get_logger
 
 __all__ = [
     "BENCH_SCHEMA",
     "BENCH_PREFIX",
+    "REPEATS",
+    "THRESHOLD",
     "BenchCase",
     "SUITE",
     "case_names",
@@ -62,210 +73,28 @@ __all__ = [
 
 BENCH_SCHEMA = "repro.bench-trajectory/1"
 BENCH_PREFIX = "BENCH_"
+REPEATS = 3        # timed iterations per case
+THRESHOLD = 0.25   # a case regresses past 1 + THRESHOLD of its baseline
 
 _log = get_logger("obs.bench")
 
 
-# -- the curated suite ---------------------------------------------------------
+# -- the gated cases -----------------------------------------------------------
 #
-# A case's ``setup(quick)`` builds the workload (inputs, configs) outside
-# the timed region and returns a zero-argument callable; the callable
-# runs one iteration and returns the number of samples it processed, so
-# the harness can report throughput.  All RNG seeds are fixed.
+# A case's ``setup()`` asserts its contract and builds the workload
+# outside the timed region, then returns a zero-argument callable; the
+# callable runs one iteration and returns the number of samples it
+# processed, so the harness can report throughput.  All RNG seeds are
+# fixed.
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One curated microbenchmark over a library hot path."""
+    """One gated benchmark case."""
 
     name: str
     group: str
     description: str
-    setup: Callable[[bool], Callable[[], int]]
-
-
-def _case_simkernel_events(quick: bool) -> Callable[[], int]:
-    from ..simkernel import Simulator
-
-    n_chains = 20
-    horizon = 2_000.0 if quick else 10_000.0
-
-    def run() -> int:
-        sim = Simulator()
-
-        def make_tick(period: float):
-            def tick() -> None:
-                sim.schedule_in(period, tick)
-            return tick
-
-        for i in range(n_chains):
-            sim.schedule_in(0.5 + 0.01 * i, make_tick(1.0 + 0.01 * i))
-        sim.run_until(horizon)
-        return sim.events_fired
-
-    return run
-
-
-def _case_memsim_fleet(quick: bool) -> Callable[[], int]:
-    from ..memsim import MachineConfig, run_fleet
-
-    n_runs = 1 if quick else 2
-    budget = 4_000.0 if quick else 20_000.0
-
-    def run() -> int:
-        # workers=1 keeps this trajectory a pure single-core simulator
-        # measurement; the pool is timed by campaign.parallel instead.
-        results = run_fleet(
-            MachineConfig.nt4(seed=1, max_run_seconds=budget), n_runs,
-            workers=1)
-        return sum(
-            len(r.bundle[name]) for r in results for name in r.bundle.names)
-
-    return run
-
-
-def _synthetic_counter(n: int, seed: int = 7):
-    import numpy as np
-
-    from ..generators import fgn
-    from ..trace.series import TimeSeries
-
-    noise = fgn(n, 0.7, rng=np.random.default_rng(seed))
-    return TimeSeries.from_values(np.cumsum(noise), name="synthetic")
-
-
-def _case_holder_trajectory(quick: bool) -> Callable[[], int]:
-    from ..core.holder import holder_trajectory
-
-    ts = _synthetic_counter(4096 if quick else 16384)
-
-    def run() -> int:
-        return len(holder_trajectory(ts))
-
-    return run
-
-
-def _case_wtmm(quick: bool) -> Callable[[], int]:
-    import numpy as np
-
-    from ..fractal.wtmm import wtmm
-    from ..generators import fbm
-
-    x = fbm(2048 if quick else 8192, 0.6, rng=np.random.default_rng(3))
-
-    def run() -> int:
-        wtmm(x)
-        return x.size
-
-    return run
-
-
-def _case_mfdfa(quick: bool) -> Callable[[], int]:
-    import numpy as np
-
-    from ..fractal.mfdfa import mfdfa
-    from ..generators import fgn
-
-    x = fgn(4096 if quick else 16384, 0.7, rng=np.random.default_rng(5))
-
-    def run() -> int:
-        mfdfa(x)
-        return x.size
-
-    return run
-
-
-def _case_sliding_spectrum(quick: bool) -> Callable[[], int]:
-    from ..fractal.sliding import sliding_mfdfa
-
-    ts = _synthetic_counter(4096 if quick else 12288, seed=11)
-    window = 1024
-    step = 512 if quick else 256
-
-    def run() -> int:
-        sliding_mfdfa(ts, window=window, step=step)
-        return len(ts)
-
-    return run
-
-
-def _case_wavelets(quick: bool) -> Callable[[], int]:
-    import numpy as np
-
-    from ..fractal.wavelets import cwt, dwt, modwt
-    from ..generators import fgn
-
-    x = fgn(4096 if quick else 16384, 0.6, rng=np.random.default_rng(9))
-    scales = np.geomspace(4.0, x.size / 8.0, 16)
-
-    def run() -> int:
-        dwt(x)
-        modwt(x, level=6)
-        cwt(np.cumsum(x), scales)
-        return x.size
-
-    return run
-
-
-def _case_analyze_pipeline(quick: bool) -> Callable[[], int]:
-    from ..core.pipeline import analyze_counter
-
-    ts = _synthetic_counter(4096 if quick else 16384, seed=13)
-
-    def run() -> int:
-        analyze_counter(ts, indicator_window=256)
-        return len(ts)
-
-    return run
-
-
-def _case_campaign_parallel(quick: bool) -> Callable[[], int]:
-    """Process-pool campaign fan-out, gated on equivalence + speedup.
-
-    Setup runs the sequential reference once and the pooled campaign
-    once: the payloads must be bit-identical, and on machines with >= 4
-    cores the pooled run must be meaningfully faster (loose floor; the
-    strict determinism contract lives in the test suite).  The timed
-    iteration is the pooled campaign alone, so the trajectory tracks
-    pool efficiency.
-    """
-    from ..analysis.campaign import ExperimentSpec, cells_payload, run_campaign
-    from ..exceptions import AnalysisError
-
-    n_cells, n_runs, budget = (2, 2, 800.0) if quick else (4, 8, 1_200.0)
-    specs = [
-        ExperimentSpec(
-            name=f"cell{i}", scenario="stress", n_runs=n_runs,
-            base_seed=100 + 10 * i, fault_factor=1.0 + 0.25 * i,
-            max_run_seconds=budget,
-        )
-        for i in range(n_cells)
-    ]
-    workers = min(4, os.cpu_count() or 1)
-
-    t0 = time.perf_counter()
-    sequential = run_campaign(specs, workers=1)
-    wall_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pooled = run_campaign(specs, workers=workers)
-    wall_pool = time.perf_counter() - t0
-    if cells_payload(sequential) != cells_payload(pooled):
-        raise AnalysisError(
-            "parallel campaign diverged from sequential reference")
-    speedup = wall_seq / wall_pool if wall_pool > 0 else float("inf")
-    _log.info("campaign pool speedup", workers=workers,
-              sequential_s=round(wall_seq, 3), pooled_s=round(wall_pool, 3),
-              speedup=round(speedup, 2))
-    if not quick and workers >= 4 and speedup < 1.5:
-        raise AnalysisError(
-            f"campaign pool speedup {speedup:.2f}x with {workers} workers "
-            "is below the 1.5x floor (target: 2x on 4 cores)"
-        )
-
-    def run() -> int:
-        run_campaign(specs, workers=workers)
-        return n_cells * n_runs
-
-    return run
+    setup: Callable[[], Callable[[], int]]
 
 
 def _aging_fleet_config(seed: int, budget: float, scale: float = 6.0):
@@ -278,21 +107,19 @@ def _aging_fleet_config(seed: int, budget: float, scale: float = 6.0):
     return replace(base, faults=base.faults.scaled(scale))
 
 
-def _case_fleet_vec(quick: bool) -> Callable[[], int]:
+def _case_fleet_vec() -> Callable[[], int]:
     """Vectorised fleet engine, gated on throughput over the object path.
 
     Setup times a small object-engine reference fleet and one full
     vector fleet of the same config: the vector engine must simulate at
-    least 10x more host-seconds per wall second (the ISSUE target at the
-    256-host scale; the quick fleet is smaller but the floor is the
-    same).  The timed iteration is the vector fleet alone, so the
-    trajectory tracks struct-of-arrays throughput.
+    least 10x more hosts per wall second.  The timed iteration is the
+    vector fleet alone, so the trajectory tracks struct-of-arrays
+    throughput.
     """
-    from ..exceptions import AnalysisError
     from ..memsim import VectorFleet, run_fleet
 
-    n_vec, n_obj, budget = (128, 2, 2_000.0) if quick else (256, 4, 4_000.0)
-    config = _aging_fleet_config(seed=1, budget=budget)
+    n_vec, n_obj = 128, 2
+    config = _aging_fleet_config(seed=1, budget=2_000.0)
 
     t0 = time.perf_counter()
     run_fleet(config, n_obj, workers=1)
@@ -320,15 +147,15 @@ def _case_fleet_vec(quick: bool) -> Callable[[], int]:
     return run
 
 
-def _case_fleet_vec_equiv(quick: bool) -> Callable[[], int]:
+def _case_fleet_vec_equiv() -> Callable[[], int]:
     """Vector-engine equivalence layer, gated on oracle agreement.
 
     Setup asserts both halves of the equivalence contract against the
     object-model oracle: exact batch decomposition (host i of a batch is
     bit-identical to host i alone) and the cross-engine crash-time KS /
     crash-reason check.  The timed iteration is the full equivalence
-    report (object + vector fleets + KS), so the trajectory tracks the
-    cost of the verification layer itself.
+    report (vector fleet + KS against the object reference), so the
+    trajectory tracks the cost of the verification layer itself.
     """
     from ..memsim import (
         check_batch_decomposition,
@@ -337,8 +164,8 @@ def _case_fleet_vec_equiv(quick: bool) -> Callable[[], int]:
         run_fleet,
     )
 
-    n_hosts, budget = (6, 4_000.0) if quick else (12, 6_000.0)
-    config = _aging_fleet_config(seed=31, budget=budget)
+    n_hosts = 6
+    config = _aging_fleet_config(seed=31, budget=4_000.0)
     check_batch_decomposition(
         _aging_fleet_config(seed=7, budget=1_500.0), 3)
     # The object half dominates the report's cost; reuse one reference
@@ -357,7 +184,65 @@ def _case_fleet_vec_equiv(quick: bool) -> Callable[[], int]:
     return run
 
 
-def _case_online_stream(quick: bool) -> Callable[[], int]:
+def _case_campaign_parallel() -> Callable[[], int]:
+    """Process-pool campaign fan-out, gated on equivalence + speedup.
+
+    Setup runs the sequential reference once and the pooled campaign
+    once.  Every sequential run must crash and carry an alarm, so the
+    comparison covers the Hölder detector's output rather than a row of
+    nulls; the two payloads must be identical; and on machines with
+    >= 4 cores the pooled run must be at least 1.5x faster (a loose
+    floor; the strict determinism contract lives in the test suite).
+    The timed iteration is the pooled campaign alone, so the trajectory
+    tracks pool efficiency.
+    """
+    from ..analysis.campaign import ExperimentSpec, cells_payload, run_campaign
+
+    n_cells, n_runs = 2, 2
+    specs = [
+        ExperimentSpec(
+            name=f"cell{i}", scenario="stress", n_runs=n_runs,
+            base_seed=100 + 10 * i, fault_factor=6.0 + 0.25 * i,
+            max_run_seconds=4_000.0,
+        )
+        for i in range(n_cells)
+    ]
+    workers = min(4, os.cpu_count() or 1)
+
+    t0 = time.perf_counter()
+    sequential = cells_payload(run_campaign(specs, workers=1))
+    wall_seq = time.perf_counter() - t0
+    runs = [run for cell in sequential.values() for run in cell["runs"]]
+    scored = sum(1 for run in runs
+                 if run["crashed"] and run["alarm_time"] is not None)
+    if scored != n_cells * n_runs:
+        raise AnalysisError(
+            f"campaign gate needs all {n_cells * n_runs} runs to crash "
+            f"and alarm; {scored} of {len(runs)} did")
+    t0 = time.perf_counter()
+    pooled = cells_payload(run_campaign(specs, workers=workers))
+    wall_pool = time.perf_counter() - t0
+    if sequential != pooled:
+        raise AnalysisError(
+            "parallel campaign diverged from sequential reference")
+    speedup = wall_seq / wall_pool if wall_pool > 0 else float("inf")
+    _log.info("campaign pool speedup", workers=workers,
+              sequential_s=round(wall_seq, 3), pooled_s=round(wall_pool, 3),
+              speedup=round(speedup, 2))
+    if workers >= 4 and speedup < 1.5:
+        raise AnalysisError(
+            f"campaign pool speedup {speedup:.2f}x with {workers} workers "
+            "is below the 1.5x floor (target: 2x on 4 cores)"
+        )
+
+    def run() -> int:
+        run_campaign(specs, workers=workers)
+        return n_cells * n_runs
+
+    return run
+
+
+def _case_online_stream() -> Callable[[], int]:
     """Online monitor streaming through the truncated Hölder tail.
 
     Setup replays the same stream through the monitor twice under a
@@ -374,11 +259,10 @@ def _case_online_stream(quick: bool) -> Callable[[], int]:
 
     from ..core import online
     from ..core.holder import wavelet_holder
-    from ..exceptions import AnalysisError
     from ..generators import fgn
     from .session import telemetry_session
 
-    n = 12_288 if quick else 24_576
+    n = 12_288
     noise = fgn(n, 0.75, rng=np.random.default_rng(21))
     values = np.cumsum(noise)
     times = np.arange(n, dtype=float)
@@ -423,7 +307,7 @@ def _case_online_stream(quick: bool) -> Callable[[], int]:
     return run
 
 
-def _case_trace_store(quick: bool) -> Callable[[], int]:
+def _case_trace_store() -> Callable[[], int]:
     """Columnar trace store read throughput, gated >= 5x over CSV.
 
     Setup synthesises a realistic multi-counter run bundle, writes it
@@ -439,11 +323,9 @@ def _case_trace_store(quick: bool) -> Callable[[], int]:
 
     import numpy as np
 
-    from ..exceptions import AnalysisError
     from ..trace import TimeSeries, TraceBundle, read_bundle, write_bundle
 
-    n = 50_000 if quick else 200_000
-    n_counters = 4
+    n, n_counters = 50_000, 4
     rng = np.random.default_rng(23)
     times = np.arange(n, dtype=float)
     bundle = TraceBundle(metadata={"crash_time": float(n) * 0.9,
@@ -489,12 +371,6 @@ def _case_trace_store(quick: bool) -> Callable[[], int]:
 
 
 SUITE: Tuple[BenchCase, ...] = (
-    BenchCase("simkernel.events", "simkernel",
-              "event-engine churn: 20 self-rescheduling timer chains",
-              _case_simkernel_events),
-    BenchCase("memsim.fleet", "memsim",
-              "stress-to-crash fleet simulation (NT4 profile)",
-              _case_memsim_fleet),
     BenchCase("memsim.fleet_vec", "memsim",
               "vectorised fleet engine throughput "
               "(>=10x object-path hosts/sec gated)",
@@ -503,26 +379,9 @@ SUITE: Tuple[BenchCase, ...] = (
               "vector-engine equivalence layer "
               "(batch decomposition + cross-engine KS gated)",
               _case_fleet_vec_equiv),
-    BenchCase("core.holder", "core",
-              "pointwise Hölder trajectory of a synthetic counter",
-              _case_holder_trajectory),
-    BenchCase("fractal.wtmm", "fractal",
-              "WTMM multifractal spectrum of an fBm path",
-              _case_wtmm),
-    BenchCase("fractal.mfdfa", "fractal",
-              "MF-DFA generalized-Hurst analysis of fGn",
-              _case_mfdfa),
-    BenchCase("fractal.sliding", "fractal",
-              "sliding-window MFDFA spectrum trajectory",
-              _case_sliding_spectrum),
-    BenchCase("fractal.wavelets", "fractal",
-              "DWT + MODWT + CWT transforms",
-              _case_wavelets),
-    BenchCase("core.pipeline", "core",
-              "full analyze_counter chain (preprocess→Hölder→detector)",
-              _case_analyze_pipeline),
     BenchCase("campaign.parallel", "perf",
-              "process-pool campaign fan-out (equivalence + speedup gated)",
+              "process-pool campaign fan-out "
+              "(all runs alarmed, equivalence + speedup gated)",
               _case_campaign_parallel),
     BenchCase("online.stream", "perf",
               "online monitor stream on the truncated Hölder tail "
@@ -536,7 +395,7 @@ SUITE: Tuple[BenchCase, ...] = (
 
 
 def case_names() -> List[str]:
-    """The names of every benchmark in the curated suite."""
+    """The names of every case in the suite."""
     return [case.name for case in SUITE]
 
 
@@ -555,46 +414,39 @@ def select_cases(patterns: Optional[Sequence[str]]) -> List[BenchCase]:
 
 # -- measurement ---------------------------------------------------------------
 
-def run_case(
-    case: BenchCase, *, quick: bool = False, repeats: int = 3,
-    track_memory: bool = True,
-) -> dict:
-    """Run one benchmark case and return its JSON-able result record.
+def run_case(case: BenchCase) -> dict:
+    """Run one case and return its JSON-able result record.
 
-    One untimed warmup iteration absorbs lazy imports, filter caches and
-    allocator warm-up; then ``repeats`` timed iterations (wall via
-    ``perf_counter``, CPU via ``process_time``); finally, when
-    ``track_memory`` is on, one extra iteration under ``tracemalloc``
+    Setup asserts the case's contract.  One untimed warmup iteration
+    absorbs lazy imports, filter caches and allocator warm-up; then
+    :data:`REPEATS` timed iterations (wall via ``perf_counter``, CPU via
+    ``process_time``); finally one extra iteration under ``tracemalloc``
     measures the peak traced allocation size (kept out of the timings —
     tracing slows allocation-heavy code severalfold).
     """
-    if repeats < 1:
-        raise ValidationError(f"repeats must be >= 1, got {repeats}")
-    fn = case.setup(quick)
+    fn = case.setup()
     n_samples = fn()  # warmup, untimed
     walls: List[float] = []
     cpus: List[float] = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         c0 = time.process_time()
         w0 = time.perf_counter()
         fn()
         walls.append(time.perf_counter() - w0)
         cpus.append(time.process_time() - c0)
-    mem_peak: Optional[int] = None
-    if track_memory:
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        fn()
-        mem_peak = tracemalloc.get_traced_memory()[1]
-        if not was_tracing:
-            tracemalloc.stop()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    fn()
+    mem_peak = tracemalloc.get_traced_memory()[1]
+    if not was_tracing:
+        tracemalloc.stop()
     wall_best = min(walls)
     return {
         "group": case.group,
         "description": case.description,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "n_samples": n_samples,
         "wall_best": wall_best,
         "wall_mean": sum(walls) / len(walls),
@@ -664,19 +516,15 @@ def environment_fingerprint() -> dict:
 
 
 def run_suite(
-    *, quick: bool = False, repeats: Optional[int] = None,
-    select: Optional[Sequence[str]] = None, track_memory: bool = True,
+    *, select: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str, dict], None]] = None,
 ) -> dict:
     """Run (a selection of) the suite and return the trajectory payload."""
-    if repeats is None:
-        repeats = 3 if quick else 5
     cases = select_cases(select)
     results: Dict[str, dict] = {}
     for case in cases:
-        _log.info("benchmark starting", case=case.name, quick=quick)
-        record = run_case(case, quick=quick, repeats=repeats,
-                          track_memory=track_memory)
+        _log.info("benchmark starting", case=case.name)
+        record = run_case(case)
         results[case.name] = record
         _log.info("benchmark finished", case=case.name,
                   wall_best=record["wall_best"])
@@ -685,8 +533,7 @@ def run_suite(
     return {
         "schema": BENCH_SCHEMA,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "quick": quick,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "environment": environment_fingerprint(),
         "results": results,
     }
@@ -728,8 +575,8 @@ def list_bench_files(path: str | os.PathLike) -> List[dict]:
     Accepts a directory (scans for trajectory files) or a single file.
     Unreadable or foreign-schema files are skipped, not fatal — the
     directory may mix artifacts from several tool versions.  Returns one
-    record per file, oldest first: path, creation date, git sha, quick
-    flag and the per-case best wall times.
+    record per file, oldest first: path, creation date, git sha and the
+    per-case best wall times.
     """
     path = os.fspath(path)
     if os.path.isdir(path):
@@ -752,7 +599,6 @@ def list_bench_files(path: str | os.PathLike) -> List[dict]:
             "created_at": payload.get("created_at", ""),
             "git_sha": (payload.get("environment", {}).get("git_sha")
                         or "unknown")[:7],
-            "quick": bool(payload.get("quick")),
             "cases": {
                 name: record.get("wall_best")
                 for name, record in payload.get("results", {}).items()
@@ -763,16 +609,12 @@ def list_bench_files(path: str | os.PathLike) -> List[dict]:
 
 
 def find_baseline(
-    path: str | os.PathLike, *, quick: Optional[bool] = None,
-    exclude: Optional[str | os.PathLike] = None,
+    path: str | os.PathLike, *, exclude: Optional[str | os.PathLike] = None,
 ) -> Optional[str]:
-    """The newest matching ``BENCH_*.json`` under ``path`` (or the file itself).
+    """The newest ``BENCH_*.json`` under ``path`` (or the file itself).
 
-    ``quick`` filters to trajectory files of the same workload size —
-    quick and full runs time different computations and must never be
-    compared.  ``exclude`` skips the file just written.  Returns None
-    when nothing matches (first run ever: no baseline, nothing to
-    compare).
+    ``exclude`` skips the file just written.  Returns None when nothing
+    matches; the caller treats that as a failed comparison.
     """
     path = os.fspath(path)
     if os.path.isfile(path):
@@ -791,8 +633,6 @@ def find_baseline(
             payload = read_bench_file(full)
         except (TraceError, OSError):
             continue
-        if quick is not None and bool(payload.get("quick")) != quick:
-            continue
         candidates.append((payload.get("created_at", ""), full))
     if not candidates:
         return None
@@ -802,46 +642,39 @@ def find_baseline(
 
 # -- comparison / regression report --------------------------------------------
 
-def compare_runs(
-    baseline: dict, current: dict, *, threshold: float = 0.25,
-    normalize: bool = True,
-) -> dict:
-    """Compare two trajectory payloads hot path by hot path.
+def compare_runs(baseline: dict, current: dict) -> dict:
+    """Compare two trajectory payloads case by case.
 
-    The compared quantity is best wall time; with ``normalize`` on, the
-    baseline's timings are rescaled by the machines' calibration ratio
-    (current/baseline), so cross-machine comparisons measure the code,
-    not the hardware.  A hot path regresses when its (normalised) ratio
-    exceeds ``1 + threshold``; it improved when below ``1 - threshold``.
+    The compared quantity is best wall time, with the baseline's timings
+    rescaled by the machines' calibration ratio (current/baseline), so
+    cross-machine comparisons measure the code, not the hardware.  A
+    case regresses when its normalised ratio exceeds ``1 + THRESHOLD``
+    and improved when below ``1 - THRESHOLD``.  A current case with no
+    baseline entry is ``MISSING`` and listed under ``missing``: it was
+    compared against nothing, which fails the run like a regression.
     """
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
-    if bool(baseline.get("quick")) != bool(current.get("quick")):
-        raise ValidationError(
-            "cannot compare quick and full trajectory files: "
-            "they time different workloads"
-        )
     scale = 1.0
-    if normalize:
-        cal_base = baseline.get("environment", {}).get("calibration_seconds")
-        cal_cur = current.get("environment", {}).get("calibration_seconds")
-        if cal_base and cal_cur and cal_base > 0:
-            scale = cal_cur / cal_base
+    cal_base = baseline.get("environment", {}).get("calibration_seconds")
+    cal_cur = current.get("environment", {}).get("calibration_seconds")
+    if cal_base and cal_cur and cal_base > 0:
+        scale = cal_cur / cal_base
     rows: List[dict] = []
     regressions: List[str] = []
+    missing: List[str] = []
     for name, cur in current.get("results", {}).items():
         base = baseline.get("results", {}).get(name)
         if base is None:
-            rows.append({"name": name, "status": "new",
+            missing.append(name)
+            rows.append({"name": name, "status": "MISSING",
                          "baseline_wall": None,
                          "current_wall": cur["wall_best"], "ratio": None})
             continue
         expected = base["wall_best"] * scale
         ratio = cur["wall_best"] / expected if expected > 0 else float("inf")
-        if ratio > 1.0 + threshold:
+        if ratio > 1.0 + THRESHOLD:
             status = "REGRESSION"
             regressions.append(name)
-        elif ratio < 1.0 - threshold:
+        elif ratio < 1.0 - THRESHOLD:
             status = "improved"
         else:
             status = "ok"
@@ -849,11 +682,11 @@ def compare_runs(
                      "baseline_wall": expected,
                      "current_wall": cur["wall_best"], "ratio": ratio})
     return {
-        "threshold": threshold,
-        "normalized": normalize,
+        "threshold": THRESHOLD,
         "calibration_scale": scale,
         "rows": rows,
         "regressions": regressions,
+        "missing": missing,
     }
 
 
@@ -876,17 +709,20 @@ def render_comparison(comparison: dict, *, baseline_path: str = "") -> str:
     title = "Perf trajectory vs baseline"
     if baseline_path:
         title += f" ({baseline_path})"
-    if comparison["normalized"] and comparison["calibration_scale"] != 1.0:
+    if comparison["calibration_scale"] != 1.0:
         title += (f" [calibration-normalized x"
                   f"{comparison['calibration_scale']:.3f}]")
     table = render_table(
-        ["hot path", "baseline_ms", "current_ms", "ratio", "delta", "status"],
+        ["case", "baseline_ms", "current_ms", "ratio", "delta", "status"],
         rows, title=title,
     )
-    footer = (
-        f"\nregression threshold: {comparison['threshold'] * 100:.0f}% — "
-        + (f"{len(comparison['regressions'])} hot path(s) regressed: "
-           + ", ".join(comparison["regressions"])
-           if comparison["regressions"] else "no regressions")
-    )
+    failures = []
+    if comparison["regressions"]:
+        failures.append(f"{len(comparison['regressions'])} case(s) regressed: "
+                        + ", ".join(comparison["regressions"]))
+    if comparison["missing"]:
+        failures.append(f"{len(comparison['missing'])} case(s) missing from "
+                        "the baseline: " + ", ".join(comparison["missing"]))
+    footer = (f"\nregression threshold: {comparison['threshold'] * 100:.0f}% — "
+              + ("; ".join(failures) if failures else "no regressions"))
     return table + footer

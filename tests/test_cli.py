@@ -74,17 +74,17 @@ class TestParser:
 
     def test_bench_args(self):
         args = build_parser().parse_args(
-            ["bench", "--quick", "--select", "fractal,core",
-             "--threshold", "0.5", "--repeats", "2", "--no-memory"])
-        assert args.quick
-        assert args.select == "fractal,core"
-        assert args.threshold == 0.5
-        assert args.repeats == 2
-        assert args.no_memory
+            ["bench", "--select", "trace,online", "--baseline", "b.json"])
+        assert args.select == "trace,online"
+        assert args.baseline == "b.json"
         defaults = build_parser().parse_args(["bench"])
         assert defaults.out == "benchmarks/results"
-        assert defaults.threshold == 0.25
-        assert not defaults.quick
+        assert defaults.baseline == "benchmarks/baselines"
+        for removed in (["--quick"], ["--repeats", "2"], ["--no-memory"],
+                        ["--no-normalize"], ["--threshold", "0.5"],
+                        ["--no-compare"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", *removed])
 
     def test_perf_profile_flags_on_every_command(self):
         for base in (["simulate", "--out", "x.csv"],
@@ -298,13 +298,41 @@ class TestTelemetryCli:
         assert "memsim.machine_run" in out
 
 
+@pytest.fixture
+def stub_suite(monkeypatch):
+    """Replace the gated cases with one cheap deterministic case."""
+    from repro.obs import bench
+
+    monkeypatch.setattr(bench, "SUITE", (
+        bench.BenchCase("stub.case", "stub", "cheap stub case",
+                        lambda: lambda: 1000),))
+    return "stub.case"
+
+
+def _write_baseline(directory, walls):
+    """A doctored baseline file holding ``walls`` (case -> wall_best)."""
+    from repro.obs import bench
+
+    directory.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "schema": bench.BENCH_SCHEMA,
+        "created_at": "2000-01-01T00:00:00+00:00",
+        "repeats": 3,
+        "environment": {"git_sha": "oldsha1"},
+        "results": {name: {"wall_best": wall} for name, wall in walls.items()},
+    }
+    return bench.write_bench_file(payload, directory)
+
+
 class TestBenchCli:
     def test_list_cases_mode(self, capsys):
         code = main(["bench", "--list-cases"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Benchmark suite" in out
-        assert "fractal.mfdfa" in out
+        for name in ("memsim.fleet_vec", "memsim.fleet_vec_equiv",
+                     "campaign.parallel", "online.stream", "trace.store"):
+            assert name in out
 
     def test_list_mode_empty(self, tmp_path, capsys):
         code = main(["bench", "--list", "--out", str(tmp_path / "none")])
@@ -317,10 +345,9 @@ class TestBenchCli:
         payload = {
             "schema": bench.BENCH_SCHEMA,
             "created_at": "2026-08-06T10:00:00+00:00",
-            "quick": True,
-            "repeats": 1,
+            "repeats": 3,
             "environment": {"git_sha": "abc1234def"},
-            "results": {"fractal.mfdfa": {"wall_best": 0.0123}},
+            "results": {"trace.store": {"wall_best": 0.0123}},
         }
         bench.write_bench_file(payload, tmp_path)
         code = main(["bench", "--list", "--out", str(tmp_path)])
@@ -328,74 +355,80 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "2026-08-06" in out
         assert "abc1234" in out
-        assert "quick" in out
-        assert "fractal.mfdfa" in out
+        assert "trace.store" in out
+        assert "missing" in out  # the other gates are not in this file
 
-    def test_quick_run_writes_trajectory(self, tmp_path, capsys):
-        code = main(["bench", "--quick", "--select", "fractal.mfdfa",
-                     "--repeats", "1", "--no-memory",
-                     "--out", str(tmp_path)])
+    def test_quick_run_writes_trajectory(self, stub_suite, tmp_path, capsys):
+        # Baseline walls of 1000 s make the stub's ratio ~0: no timing noise.
+        baseline = _write_baseline(tmp_path / "base", {stub_suite: 1e3})
+        code = main(["bench", "--out", str(tmp_path / "out"),
+                     "--baseline", baseline])
         assert code == 0
         out = capsys.readouterr().out
-        assert "no baseline" in out
-        files = list(tmp_path.glob("BENCH_*.json"))
+        assert "improved" in out
+        files = list((tmp_path / "out").glob("BENCH_*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
         assert payload["schema"] == "repro.bench-trajectory/1"
-        assert payload["quick"] is True
-        assert "fractal.mfdfa" in payload["results"]
+        assert payload["repeats"] == 3
+        assert stub_suite in payload["results"]
 
-    def test_second_run_compares_against_first(self, tmp_path, capsys):
+    def test_second_run_compares_against_first(self, stub_suite, tmp_path,
+                                               capsys):
         from repro.obs import bench
 
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        first = bench.find_baseline(tmp_path, quick=True)
-        # Back-date the first file so the second gets a distinct name.
+        out_dir = tmp_path / "runs"
+        first_baseline = _write_baseline(tmp_path / "base", {stub_suite: 1e3})
+        argv = ["bench", "--out", str(out_dir)]
+        assert main(argv + ["--baseline", first_baseline]) == 0
+        # Back-date and doctor the first file so the second run gets a
+        # distinct name and compares against it without timing noise.
+        first = bench.find_baseline(out_dir)
         payload = json.loads(open(first).read())
         payload["created_at"] = "2000-01-01T00:00:00+00:00"
-        (tmp_path / "BENCH_20000101_oldsha1.json").write_text(
-            json.dumps(payload))
+        payload["results"][stub_suite]["wall_best"] = 1e3
         import os
         os.remove(first)
+        older = out_dir / "BENCH_20000101_oldsha1.json"
+        older.write_text(json.dumps(payload))
         capsys.readouterr()
-        # Generous threshold: same machine, same workload, must pass.
-        assert main(argv + ["--threshold", "3.0"]) == 0
+        # --baseline is the --out directory: the file just written is
+        # never its own baseline.
+        assert main(argv + ["--baseline", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "Perf trajectory vs baseline" in out
+        assert str(older) in out
         assert "no regressions" in out
 
-    def test_regression_fails_run(self, tmp_path, capsys):
+    def test_regression_fails_run(self, stub_suite, tmp_path, capsys):
         # A baseline claiming the workload once took ~0 seconds forces
-        # every ratio past any threshold.
-        from repro.obs import bench
-
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        path = bench.find_baseline(tmp_path, quick=True)
-        payload = json.loads(open(path).read())
-        for record in payload["results"].values():
-            record["wall_best"] = 1e-9
-        payload["created_at"] = "2000-01-01T00:00:00+00:00"
-        (tmp_path / "BENCH_20000101_oldsha1.json").write_text(
-            json.dumps(payload))
-        import os
-        os.remove(path)
-        capsys.readouterr()
-        assert main(argv + ["--no-normalize"]) == 1
+        # every ratio past the threshold, calibration or not.
+        baseline = _write_baseline(tmp_path / "base", {stub_suite: 1e-12})
+        code = main(["bench", "--out", str(tmp_path / "out"),
+                     "--baseline", baseline])
+        assert code == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
 
-    def test_no_compare_skips_baseline(self, tmp_path, capsys):
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--no-compare",
-                "--out", str(tmp_path)]
-        assert main(argv) == 0
-        assert main(argv) == 0  # second run: still no comparison attempted
+    def test_missing_baseline_entry_fails_run(self, stub_suite, tmp_path,
+                                              capsys):
+        # The baseline holds other cases but not the selected one: the
+        # case was compared against nothing, which must fail the run.
+        baseline = _write_baseline(tmp_path / "base", {"other.case": 1e3})
+        code = main(["bench", "--out", str(tmp_path / "out"),
+                     "--baseline", baseline])
+        assert code == 1
         out = capsys.readouterr().out
-        assert "Perf trajectory" not in out
+        assert "MISSING" in out
+        assert "missing from the baseline: stub.case" in out
+
+    def test_baseline_path_without_files_fails_run(self, stub_suite, tmp_path,
+                                                   capsys):
+        (tmp_path / "empty").mkdir()
+        code = main(["bench", "--out", str(tmp_path / "out"),
+                     "--baseline", str(tmp_path / "empty")])
+        assert code == 1
+        assert "no BENCH_*.json baseline" in capsys.readouterr().err
 
 
 class TestWatchCli:

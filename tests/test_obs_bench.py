@@ -1,15 +1,35 @@
-"""Tests for the benchmark harness and perf trajectory files (repro.obs.bench)."""
+"""Tests for the contract gates and trajectory files (repro.obs.bench)."""
 
+import functools
 import json
+import os
 import re
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.exceptions import TraceError, ValidationError
+import repro.analysis.campaign
+import repro.core.online
+import repro.memsim
+import repro.memsim.equivalence
+import repro.trace
+from repro.exceptions import AnalysisError, TraceError, ValidationError
 from repro.obs import bench
 
+GATES = {
+    "memsim.fleet_vec",
+    "memsim.fleet_vec_equiv",
+    "campaign.parallel",
+    "online.stream",
+    "trace.store",
+}
+BASELINES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "baselines")
 
-def _payload(*, quick=True, calibration=0.010, created_at="2026-08-06T10:00:00+00:00",
+
+def _payload(*, calibration=0.010, created_at="2026-08-06T10:00:00+00:00",
              sha="abcdef123456", **walls):
     """A minimal schema-valid trajectory payload with the given wall times."""
     results = {
@@ -29,32 +49,32 @@ def _payload(*, quick=True, calibration=0.010, created_at="2026-08-06T10:00:00+0
     return {
         "schema": bench.BENCH_SCHEMA,
         "created_at": created_at,
-        "quick": quick,
         "repeats": 3,
         "environment": {"git_sha": sha, "calibration_seconds": calibration},
         "results": results,
     }
 
 
-class TestSuiteShape:
-    REQUIRED_HOT_PATHS = {
-        "memsim.fleet",      # fleet simulation
-        "core.holder",       # Hölder trajectory
-        "fractal.wtmm",      # WTMM spectrum
-        "fractal.mfdfa",     # MF-DFA
-        "fractal.sliding",   # sliding spectrum
-        "core.pipeline",     # full analyze pipeline
-    }
+def _stub_case(name, n_samples=1000):
+    """A cheap case: allocates a little, reports ``n_samples``."""
+    def setup():
+        def run():
+            bytearray(64 * 1024)
+            return n_samples
+        return run
+    return bench.BenchCase(name, name.split(".")[0], f"stub {name}", setup)
 
+
+class TestSuiteShape:
     def test_covers_required_hot_paths(self):
-        assert self.REQUIRED_HOT_PATHS <= set(bench.case_names())
-        assert len(bench.SUITE) >= 6
+        # The suite is exactly the contract gates.
+        assert set(bench.case_names()) == GATES
+        assert len(bench.SUITE) == len(GATES)
 
     def test_select_by_substring(self):
-        chosen = bench.select_cases(["fractal"])
+        chosen = bench.select_cases(["memsim"])
         assert {c.name for c in chosen} == {
-            "fractal.wtmm", "fractal.mfdfa",
-            "fractal.sliding", "fractal.wavelets",
+            "memsim.fleet_vec", "memsim.fleet_vec_equiv",
         }
         assert [c.name for c in bench.select_cases(None)] == bench.case_names()
 
@@ -62,40 +82,34 @@ class TestSuiteShape:
         with pytest.raises(ValidationError):
             bench.select_cases(["no-such-bench"])
 
+    def test_committed_baseline_covers_every_case(self):
+        path = bench.find_baseline(BASELINES)
+        assert path is not None
+        assert set(bench.read_bench_file(path)["results"]) == GATES
+
 
 class TestRunCase:
     def test_record_fields(self):
-        case = next(c for c in bench.SUITE if c.name == "fractal.mfdfa")
-        record = bench.run_case(case, quick=True, repeats=2)
-        assert record["repeats"] == 2
+        record = bench.run_case(_stub_case("stub.case", n_samples=4096))
+        assert record["repeats"] == bench.REPEATS
         assert record["n_samples"] == 4096
         assert 0.0 < record["wall_best"] <= record["wall_mean"]
-        assert record["cpu_best"] > 0.0
+        assert record["cpu_best"] >= 0.0
         assert record["samples_per_sec"] == pytest.approx(
             record["n_samples"] / record["wall_best"])
-        assert record["mem_peak_bytes"] > 0
+        assert record["mem_peak_bytes"] >= 64 * 1024
         json.dumps(record)
-
-    def test_memory_pass_optional(self):
-        case = next(c for c in bench.SUITE if c.name == "core.holder")
-        record = bench.run_case(case, quick=True, repeats=1,
-                                track_memory=False)
-        assert record["mem_peak_bytes"] is None
-
-    def test_zero_repeats_rejected(self):
-        with pytest.raises(ValidationError):
-            bench.run_case(bench.SUITE[0], repeats=0)
 
 
 class TestTrajectoryFiles:
     def test_filename_pattern(self):
-        payload = _payload(**{"fractal.mfdfa": 0.01})
+        payload = _payload(**{"trace.store": 0.01})
         name = bench.bench_filename(payload)
         assert name == "BENCH_20260806_abcdef1.json"
         assert re.fullmatch(r"BENCH_\d{8}_[0-9a-f]{7}\.json", name)
 
     def test_write_read_round_trip(self, tmp_path):
-        payload = _payload(**{"fractal.mfdfa": 0.01, "core.holder": 0.02})
+        payload = _payload(**{"trace.store": 0.01, "online.stream": 0.02})
         path = bench.write_bench_file(payload, tmp_path)
         assert bench.read_bench_file(path) == payload
 
@@ -109,24 +123,20 @@ class TestTrajectoryFiles:
             bench.read_bench_file(bad)
 
     def test_find_baseline_newest_matching(self, tmp_path):
-        old = _payload(created_at="2026-08-01T00:00:00+00:00", sha="aaaaaaa",
-                       **{"x.y": 0.01})
-        new = _payload(created_at="2026-08-05T00:00:00+00:00", sha="bbbbbbb",
-                       **{"x.y": 0.01})
-        full = _payload(quick=False, created_at="2026-08-06T00:00:00+00:00",
-                        sha="ccccccc", **{"x.y": 0.01})
-        for p in (old, new, full):
-            bench.write_bench_file(p, tmp_path)
-        found = bench.find_baseline(tmp_path, quick=True)
-        assert found is not None and "bbbbbbb" in found
-        found_full = bench.find_baseline(tmp_path, quick=False)
-        assert found_full is not None and "ccccccc" in found_full
+        for day, sha in (("01", "aaaaaaa"), ("05", "ccccccc"),
+                         ("03", "bbbbbbb")):
+            bench.write_bench_file(
+                _payload(created_at=f"2026-08-{day}T00:00:00+00:00", sha=sha,
+                         **{"x.y": 0.01}), tmp_path)
+        (tmp_path / "BENCH_99999999_corrupt.json").write_text("{not json")
+        found = bench.find_baseline(tmp_path)
+        assert found is not None and "ccccccc" in found
 
     def test_find_baseline_excludes_current(self, tmp_path):
         payload = _payload(**{"x.y": 0.01})
         path = bench.write_bench_file(payload, tmp_path)
-        assert bench.find_baseline(tmp_path, quick=True, exclude=path) is None
-        assert bench.find_baseline(tmp_path, quick=True) == path
+        assert bench.find_baseline(tmp_path, exclude=path) is None
+        assert bench.find_baseline(tmp_path) == path
 
     def test_find_baseline_direct_file_and_missing(self, tmp_path):
         payload = _payload(**{"x.y": 0.01})
@@ -140,7 +150,8 @@ class TestCompare:
     def test_regression_flagged_past_threshold(self):
         base = _payload(**{"a.b": 0.010, "c.d": 0.010})
         cur = _payload(**{"a.b": 0.014, "c.d": 0.010})  # +40% vs 25% budget
-        cmp = bench.compare_runs(base, cur, threshold=0.25)
+        cmp = bench.compare_runs(base, cur)
+        assert cmp["threshold"] == bench.THRESHOLD == 0.25
         assert cmp["regressions"] == ["a.b"]
         by_name = {r["name"]: r for r in cmp["rows"]}
         assert by_name["a.b"]["status"] == "REGRESSION"
@@ -148,14 +159,17 @@ class TestCompare:
         assert by_name["c.d"]["status"] == "ok"
 
     def test_improvement_and_new_cases(self):
+        # A case the baseline has never seen was compared against
+        # nothing: it is reported MISSING and fails the comparison.
         base = _payload(**{"a.b": 0.010})
         cur = _payload(**{"a.b": 0.005, "e.f": 0.020})
-        cmp = bench.compare_runs(base, cur, threshold=0.25)
+        cmp = bench.compare_runs(base, cur)
         by_name = {r["name"]: r for r in cmp["rows"]}
         assert by_name["a.b"]["status"] == "improved"
-        assert by_name["e.f"]["status"] == "new"
+        assert by_name["e.f"]["status"] == "MISSING"
         assert by_name["e.f"]["ratio"] is None
         assert cmp["regressions"] == []
+        assert cmp["missing"] == ["e.f"]
 
     def test_calibration_normalization(self):
         # Baseline machine twice as fast (calibration 5ms vs current 10ms):
@@ -163,46 +177,42 @@ class TestCompare:
         # slowdown, not a code regression.
         base = _payload(calibration=0.005, **{"a.b": 0.010})
         cur = _payload(calibration=0.010, **{"a.b": 0.020})
-        cmp = bench.compare_runs(base, cur, threshold=0.25)
+        cmp = bench.compare_runs(base, cur)
         assert cmp["calibration_scale"] == pytest.approx(2.0)
         assert cmp["regressions"] == []
-        unnorm = bench.compare_runs(base, cur, threshold=0.25, normalize=False)
-        assert unnorm["regressions"] == ["a.b"]
-
-    def test_quick_full_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            bench.compare_runs(_payload(quick=True, **{"a.b": 0.01}),
-                               _payload(quick=False, **{"a.b": 0.01}))
-
-    def test_bad_threshold_rejected(self):
-        p = _payload(**{"a.b": 0.01})
-        with pytest.raises(ValidationError):
-            bench.compare_runs(p, p, threshold=0.0)
+        # The same walls on equally fast machines are a regression.
+        same = bench.compare_runs(_payload(**{"a.b": 0.010}),
+                                  _payload(**{"a.b": 0.020}))
+        assert same["calibration_scale"] == pytest.approx(1.0)
+        assert same["regressions"] == ["a.b"]
 
     def test_render_comparison_names_regressions(self):
         base = _payload(**{"a.b": 0.010})
-        cur = _payload(**{"a.b": 0.020})
+        cur = _payload(**{"a.b": 0.020, "e.f": 0.010})
         text = bench.render_comparison(
             bench.compare_runs(base, cur), baseline_path="BENCH_old.json")
         assert "REGRESSION" in text
-        assert "a.b" in text
+        assert "1 case(s) regressed: a.b" in text
+        assert "1 case(s) missing from the baseline: e.f" in text
         assert "BENCH_old.json" in text
         ok = bench.render_comparison(bench.compare_runs(base, base))
         assert "no regressions" in ok
 
 
 class TestRunSuite:
-    def test_quick_selected_suite_payload(self, tmp_path):
+    def test_quick_selected_suite_payload(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "SUITE", tuple(
+            _stub_case(name) for name in ("a.one", "b.two", "c.three")))
         seen = []
         payload = bench.run_suite(
-            quick=True, repeats=1, select=["fractal.mfdfa", "core.holder"],
-            track_memory=False,
+            select=["a.", "c."],
             progress=lambda name, rec: seen.append(name),
         )
         assert payload["schema"] == bench.BENCH_SCHEMA
-        assert payload["quick"] is True
-        assert seen == ["core.holder", "fractal.mfdfa"]
-        assert set(payload["results"]) == {"core.holder", "fractal.mfdfa"}
+        assert payload["repeats"] == bench.REPEATS
+        assert "quick" not in payload
+        assert seen == ["a.one", "c.three"]
+        assert set(payload["results"]) == {"a.one", "c.three"}
         env = payload["environment"]
         assert env["calibration_seconds"] > 0
         assert env["python"] and env["numpy"]
@@ -214,3 +224,153 @@ class TestRunSuite:
         for key in ("repro", "python", "numpy", "platform", "machine",
                     "cpu_count", "git_sha", "calibration_seconds"):
             assert key in env
+
+
+# -- negative controls: every gate must be able to fail --------------------------
+#
+# The expensive simulator, reader and campaign calls are stubbed so each
+# gate's check runs in milliseconds on inputs that break it.  The stub
+# delays are far apart, so scheduler jitter cannot flip a verdict.
+
+def _setup(name):
+    return next(c for c in bench.SUITE if c.name == name).setup
+
+
+def _sleeper(seconds, result=None):
+    def call(*args, **kwargs):
+        time.sleep(seconds)
+        return result
+    return call
+
+
+class TestFleetVecGate:
+    @staticmethod
+    def _stub(monkeypatch, object_s, vector_s):
+        monkeypatch.setattr(repro.memsim, "run_fleet", _sleeper(object_s))
+        monkeypatch.setattr(
+            repro.memsim, "VectorFleet",
+            lambda config, n_hosts: SimpleNamespace(
+                run=_sleeper(vector_s, [])))
+
+    def test_passes_when_vector_path_is_fast(self, monkeypatch):
+        # 2 hosts in 50 ms vs 128 hosts in 10 ms: 320x.
+        self._stub(monkeypatch, object_s=0.05, vector_s=0.01)
+        assert _setup("memsim.fleet_vec")()() == 128
+
+    def test_fast_object_path_trips_floor(self, monkeypatch):
+        self._stub(monkeypatch, object_s=0.0, vector_s=0.05)
+        with pytest.raises(AnalysisError, match="below the 10x floor"):
+            _setup("memsim.fleet_vec")()
+
+    def test_slow_vector_path_trips_floor(self, monkeypatch):
+        # 2 hosts in 10 ms vs 128 hosts in 500 ms: ~1.3x.
+        self._stub(monkeypatch, object_s=0.01, vector_s=0.5)
+        with pytest.raises(AnalysisError, match="below the 10x floor"):
+            _setup("memsim.fleet_vec")()
+
+
+class TestFleetVecEquivGate:
+    @staticmethod
+    def _stub(monkeypatch, shift):
+        def hosts(n, offset=0.0):
+            return [SimpleNamespace(crashed=True,
+                                    crash_time=1_000.0 + 100.0 * i + offset,
+                                    crash_reason="commit")
+                    for i in range(n)]
+
+        monkeypatch.setattr(repro.memsim, "check_batch_decomposition",
+                            lambda config, n_hosts: None)
+        monkeypatch.setattr(repro.memsim, "run_fleet",
+                            lambda config, n, workers: hosts(n))
+        monkeypatch.setattr(
+            repro.memsim.equivalence, "VectorFleet",
+            lambda config, n, crash_grace: SimpleNamespace(
+                run=lambda: hosts(n, offset=shift)))
+
+    def test_passes_when_crash_times_agree(self, monkeypatch):
+        self._stub(monkeypatch, shift=0.0)
+        assert _setup("memsim.fleet_vec_equiv")()() == 6
+
+    def test_perturbed_vector_crash_times_trip_ks(self, monkeypatch):
+        self._stub(monkeypatch, shift=5_000.0)
+        with pytest.raises(AnalysisError, match="KS test rejects"):
+            _setup("memsim.fleet_vec_equiv")()
+
+
+class TestOnlineStreamGate:
+    def test_shifted_holder_tail_trips_oracle(self, monkeypatch):
+        real = repro.core.online.holder_tail
+
+        @functools.wraps(real)  # the monitor binds holder_tail's signature
+        def shifted(*args, **kwargs):
+            return real(*args, **kwargs) + 0.05
+
+        monkeypatch.setattr(repro.core.online, "holder_tail", shifted)
+        with pytest.raises(AnalysisError, match="diverged"):
+            _setup("online.stream")()
+
+
+class TestTraceStoreGate:
+    @staticmethod
+    def _stub(monkeypatch, csv_s, store_s):
+        monkeypatch.setattr(repro.trace, "write_bundle",
+                            lambda bundle, path: path)
+
+        def read_bundle(path):
+            time.sleep(store_s if path.endswith(".store") else csv_s)
+
+        monkeypatch.setattr(repro.trace, "read_bundle", read_bundle)
+
+    def test_passes_when_columnar_read_is_fast(self, monkeypatch):
+        self._stub(monkeypatch, csv_s=0.06, store_s=0.0)
+        assert _setup("trace.store")()() == 4 * 50_000
+
+    def test_slow_columnar_read_trips_floor(self, monkeypatch):
+        self._stub(monkeypatch, csv_s=0.01, store_s=0.02)
+        with pytest.raises(AnalysisError, match="below the 5x floor"):
+            _setup("trace.store")()
+
+
+class TestCampaignParallelGate:
+    @staticmethod
+    def _stub(monkeypatch, *, sequential_s=0.0, pooled_s=0.0,
+              crashed=True, pooled_alarm=100.0, cores=2):
+        """Stub campaign: 2 cells x 2 runs, each payload tagged by mode."""
+        def run_campaign(specs, workers):
+            time.sleep(pooled_s if workers > 1 else sequential_s)
+            return {"specs": specs, "pooled": workers > 1}
+
+        def cells_payload(results):
+            alarm = pooled_alarm if results["pooled"] else 100.0
+            return {
+                spec.name: {"runs": [
+                    {"seed": spec.base_seed + k, "crashed": crashed,
+                     "alarm_time": alarm if crashed else None}
+                    for k in range(spec.n_runs)]}
+                for spec in results["specs"]
+            }
+
+        monkeypatch.setattr(repro.analysis.campaign, "run_campaign",
+                            run_campaign)
+        monkeypatch.setattr(repro.analysis.campaign, "cells_payload",
+                            cells_payload)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+
+    def test_passes_with_fast_identical_pool(self, monkeypatch):
+        self._stub(monkeypatch, sequential_s=0.1, cores=4)
+        assert _setup("campaign.parallel")()() == 4
+
+    def test_diverging_pool_trips_equivalence(self, monkeypatch):
+        self._stub(monkeypatch, pooled_alarm=101.0)
+        with pytest.raises(AnalysisError, match="diverged"):
+            _setup("campaign.parallel")()
+
+    def test_slow_pool_trips_speedup_floor(self, monkeypatch):
+        self._stub(monkeypatch, pooled_s=0.05, cores=4)
+        with pytest.raises(AnalysisError, match="below the 1.5x floor"):
+            _setup("campaign.parallel")()
+
+    def test_runs_that_never_crash_trip_alarm_check(self, monkeypatch):
+        self._stub(monkeypatch, crashed=False)
+        with pytest.raises(AnalysisError, match="crash and alarm"):
+            _setup("campaign.parallel")()
