@@ -22,13 +22,17 @@ The timed iterations then freeze into a versioned trajectory file::
 
 holding, per case, best/mean wall seconds over :data:`REPEATS`
 iterations, CPU seconds, throughput and the peak traced allocation of
-one iteration, plus an environment fingerprint and a *calibration*
-measurement (the wall time of a fixed numpy workload on this machine).
-The run is compared against the committed baseline in
-``benchmarks/baselines``: :func:`compare_runs` rescales the baseline by
-the calibration ratio, so a slower runner is not mistaken for a slower
-library, and flags a case slower by more than :data:`THRESHOLD`.  A
-selected case with no baseline entry fails the comparison too.
+one iteration, plus an environment fingerprint.  A *calibration* (the
+wall time of a fixed numpy + interpreter workload) is taken before the
+first timed iteration and after each one, and every iteration is
+divided by the slower of the two calibrations around it; the median
+quotient is the case's ``wall_normalized``.  The run is compared
+against the committed baseline in ``benchmarks/baselines``:
+:func:`compare_runs` divides the two ``wall_normalized`` values, so
+neither a slower runner nor a slow spell of a shared one is mistaken
+for a slower library, and flags a case slower by more than
+:data:`THRESHOLD`.  A selected case with no baseline entry fails the
+comparison too.
 
 Every workload is deterministic (fixed seeds, fixed sizes).  End-to-end
 numbers and the per-layer split come from ``perfbench/`` (declared in
@@ -41,6 +45,7 @@ import datetime as _dt
 import json
 import os
 import platform
+import statistics
 import subprocess
 import time
 import tracemalloc
@@ -71,7 +76,7 @@ __all__ = [
     "render_comparison",
 ]
 
-BENCH_SCHEMA = "repro.bench-trajectory/1"
+BENCH_SCHEMA = "repro.bench-trajectory/2"
 BENCH_PREFIX = "BENCH_"
 REPEATS = 3        # timed iterations per case
 THRESHOLD = 0.25   # a case regresses past 1 + THRESHOLD of its baseline
@@ -193,8 +198,8 @@ def _case_campaign_parallel() -> Callable[[], int]:
     nulls; the two payloads must be identical; and on machines with
     >= 4 cores the pooled run must be at least 1.5x faster (a loose
     floor; the strict determinism contract lives in the test suite).
-    The timed iteration is the pooled campaign alone, so the trajectory
-    tracks pool efficiency.
+    The timed iteration is the pooled campaign alone at a fixed 2
+    workers, so every host times the computation the baseline holds.
     """
     from ..analysis.campaign import ExperimentSpec, cells_payload, run_campaign
 
@@ -236,7 +241,7 @@ def _case_campaign_parallel() -> Callable[[], int]:
         )
 
     def run() -> int:
-        run_campaign(specs, workers=workers)
+        run_campaign(specs, workers=2)
         return n_cells * n_runs
 
     return run
@@ -420,20 +425,27 @@ def run_case(case: BenchCase) -> dict:
     Setup asserts the case's contract.  One untimed warmup iteration
     absorbs lazy imports, filter caches and allocator warm-up; then
     :data:`REPEATS` timed iterations (wall via ``perf_counter``, CPU via
-    ``process_time``); finally one extra iteration under ``tracemalloc``
-    measures the peak traced allocation size (kept out of the timings —
-    tracing slows allocation-heavy code severalfold).
+    ``process_time``), each bracketed by calibrations because a shared
+    host drifts between fast and slow spells within seconds; finally one
+    extra iteration under ``tracemalloc`` measures the peak traced
+    allocation size (kept out of the timings — tracing slows
+    allocation-heavy code severalfold).  An iteration whose brackets
+    disagree overlapped a spell boundary, so it is divided by the slower
+    one, and the median over iterations keeps one such iteration from
+    setting ``wall_normalized``.
     """
     fn = case.setup()
     n_samples = fn()  # warmup, untimed
     walls: List[float] = []
     cpus: List[float] = []
+    cals: List[float] = [_calibration_seconds()]
     for _ in range(REPEATS):
         c0 = time.process_time()
         w0 = time.perf_counter()
         fn()
         walls.append(time.perf_counter() - w0)
         cpus.append(time.process_time() - c0)
+        cals.append(_calibration_seconds())
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
@@ -453,22 +465,27 @@ def run_case(case: BenchCase) -> dict:
         "cpu_best": min(cpus),
         "samples_per_sec": n_samples / wall_best if wall_best > 0 else None,
         "mem_peak_bytes": mem_peak,
+        "calibration_seconds": cals,
+        "wall_normalized": statistics.median(
+            wall / max(before, after)
+            for wall, before, after in zip(walls, cals, cals[1:])),
     }
 
 
 def _calibration_seconds() -> float:
-    """Wall time of a fixed numpy workload — this machine's speed unit.
+    """Median-of-5 wall time of a fixed workload — the machine's speed now.
 
-    Comparing two trajectory files from different machines, the ratio of
-    their calibrations estimates the hardware speed difference, letting
-    the regression check normalise it away.
+    Half numpy kernels, half interpreter work (dict updates, a string
+    sort), because the cases mix both and a shared host's slow spells
+    slow the two differently.  The median, not the best, so that a host
+    that is mostly slow reads as slow.
     """
     import numpy as np
 
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(2**18)
     m = rng.standard_normal((96, 96))
-    best = float("inf")
+    reps: List[float] = []
     for _ in range(5):
         t0 = time.perf_counter()
         y = np.fft.rfft(x)
@@ -476,8 +493,12 @@ def _calibration_seconds() -> float:
         np.convolve(x[:2**14], x[:2**9]).sum()
         np.linalg.eigvalsh(m @ m.T)
         np.sort(x.copy())
-        best = min(best, time.perf_counter() - t0)
-    return best
+        counts: Dict[int, int] = {}
+        for i in range(30_000):
+            counts[i % 97] = counts.get(i % 97, 0) + 3 * i
+        sorted(str(i) for i in range(4_000))
+        reps.append(time.perf_counter() - t0)
+    return statistics.median(reps)
 
 
 def git_sha(short: int = 12) -> str:
@@ -497,7 +518,7 @@ def git_sha(short: int = 12) -> str:
 
 
 def environment_fingerprint() -> dict:
-    """Where these numbers came from: versions, hardware, calibration."""
+    """Where these numbers came from: versions, hardware, git sha."""
     import numpy
 
     from .. import __version__
@@ -511,7 +532,6 @@ def environment_fingerprint() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "git_sha": git_sha(),
-        "calibration_seconds": _calibration_seconds(),
     }
 
 
@@ -645,19 +665,15 @@ def find_baseline(
 def compare_runs(baseline: dict, current: dict) -> dict:
     """Compare two trajectory payloads case by case.
 
-    The compared quantity is best wall time, with the baseline's timings
-    rescaled by the machines' calibration ratio (current/baseline), so
-    cross-machine comparisons measure the code, not the hardware.  A
-    case regresses when its normalised ratio exceeds ``1 + THRESHOLD``
-    and improved when below ``1 - THRESHOLD``.  A current case with no
-    baseline entry is ``MISSING`` and listed under ``missing``: it was
-    compared against nothing, which fails the run like a regression.
+    The compared quantity is ``wall_normalized`` (best wall time in
+    units of the calibrations taken around it), so the ratio measures
+    the code, not the hardware or the host's load at the time.  A case
+    regresses when its ratio exceeds ``1 + THRESHOLD`` and improved when
+    below ``1 - THRESHOLD``.  The rows carry the raw best walls for
+    reading.  A current case with no baseline entry is ``MISSING`` and
+    listed under ``missing``: it was compared against nothing, which
+    fails the run like a regression.
     """
-    scale = 1.0
-    cal_base = baseline.get("environment", {}).get("calibration_seconds")
-    cal_cur = current.get("environment", {}).get("calibration_seconds")
-    if cal_base and cal_cur and cal_base > 0:
-        scale = cal_cur / cal_base
     rows: List[dict] = []
     regressions: List[str] = []
     missing: List[str] = []
@@ -669,8 +685,9 @@ def compare_runs(baseline: dict, current: dict) -> dict:
                          "baseline_wall": None,
                          "current_wall": cur["wall_best"], "ratio": None})
             continue
-        expected = base["wall_best"] * scale
-        ratio = cur["wall_best"] / expected if expected > 0 else float("inf")
+        expected = base["wall_normalized"]
+        ratio = (cur["wall_normalized"] / expected if expected > 0
+                 else float("inf"))
         if ratio > 1.0 + THRESHOLD:
             status = "REGRESSION"
             regressions.append(name)
@@ -679,11 +696,10 @@ def compare_runs(baseline: dict, current: dict) -> dict:
         else:
             status = "ok"
         rows.append({"name": name, "status": status,
-                     "baseline_wall": expected,
+                     "baseline_wall": base["wall_best"],
                      "current_wall": cur["wall_best"], "ratio": ratio})
     return {
         "threshold": THRESHOLD,
-        "calibration_scale": scale,
         "rows": rows,
         "regressions": regressions,
         "missing": missing,
@@ -709,9 +725,7 @@ def render_comparison(comparison: dict, *, baseline_path: str = "") -> str:
     title = "Perf trajectory vs baseline"
     if baseline_path:
         title += f" ({baseline_path})"
-    if comparison["calibration_scale"] != 1.0:
-        title += (f" [calibration-normalized x"
-                  f"{comparison['calibration_scale']:.3f}]")
+    title += " [ratio: calibration-normalised wall, current/baseline]"
     table = render_table(
         ["case", "baseline_ms", "current_ms", "ratio", "delta", "status"],
         rows, title=title,

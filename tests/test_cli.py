@@ -310,7 +310,7 @@ def stub_suite(monkeypatch):
 
 
 def _write_baseline(directory, walls):
-    """A doctored baseline file holding ``walls`` (case -> wall_best)."""
+    """A doctored baseline file holding ``walls`` (case -> wall_normalized)."""
     from repro.obs import bench
 
     directory.mkdir(parents=True, exist_ok=True)
@@ -319,7 +319,8 @@ def _write_baseline(directory, walls):
         "created_at": "2000-01-01T00:00:00+00:00",
         "repeats": 3,
         "environment": {"git_sha": "oldsha1"},
-        "results": {name: {"wall_best": wall} for name, wall in walls.items()},
+        "results": {name: {"wall_best": wall, "wall_normalized": wall}
+                    for name, wall in walls.items()},
     }
     return bench.write_bench_file(payload, directory)
 
@@ -359,7 +360,8 @@ class TestBenchCli:
         assert "missing" in out  # the other gates are not in this file
 
     def test_quick_run_writes_trajectory(self, stub_suite, tmp_path, capsys):
-        # Baseline walls of 1000 s make the stub's ratio ~0: no timing noise.
+        # A baseline of 1000 calibrations per iteration makes the stub's
+        # ratio ~0: no timing noise.
         baseline = _write_baseline(tmp_path / "base", {stub_suite: 1e3})
         code = main(["bench", "--out", str(tmp_path / "out"),
                      "--baseline", baseline])
@@ -369,7 +371,7 @@ class TestBenchCli:
         files = list((tmp_path / "out").glob("BENCH_*.json"))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
-        assert payload["schema"] == "repro.bench-trajectory/1"
+        assert payload["schema"] == "repro.bench-trajectory/2"
         assert payload["repeats"] == 3
         assert stub_suite in payload["results"]
 
@@ -386,7 +388,7 @@ class TestBenchCli:
         first = bench.find_baseline(out_dir)
         payload = json.loads(open(first).read())
         payload["created_at"] = "2000-01-01T00:00:00+00:00"
-        payload["results"][stub_suite]["wall_best"] = 1e3
+        payload["results"][stub_suite]["wall_normalized"] = 1e3
         import os
         os.remove(first)
         older = out_dir / "BENCH_20000101_oldsha1.json"

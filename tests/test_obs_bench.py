@@ -43,6 +43,8 @@ def _payload(*, calibration=0.010, created_at="2026-08-06T10:00:00+00:00",
             "cpu_best": wall,
             "samples_per_sec": 1000 / wall,
             "mem_peak_bytes": 1024,
+            "calibration_seconds": [calibration] * 4,
+            "wall_normalized": wall / calibration,
         }
         for name, wall in walls.items()
     }
@@ -50,7 +52,7 @@ def _payload(*, calibration=0.010, created_at="2026-08-06T10:00:00+00:00",
         "schema": bench.BENCH_SCHEMA,
         "created_at": created_at,
         "repeats": 3,
-        "environment": {"git_sha": sha, "calibration_seconds": calibration},
+        "environment": {"git_sha": sha},
         "results": results,
     }
 
@@ -98,7 +100,27 @@ class TestRunCase:
         assert record["samples_per_sec"] == pytest.approx(
             record["n_samples"] / record["wall_best"])
         assert record["mem_peak_bytes"] >= 64 * 1024
+        # A calibration before the first timed iteration and after each.
+        cals = record["calibration_seconds"]
+        assert len(cals) == bench.REPEATS + 1 and min(cals) > 0
+        assert record["wall_normalized"] > 0.0
         json.dumps(record)
+
+    def test_each_iteration_normalised_by_its_own_calibrations(
+            self, monkeypatch):
+        # The host slows 4x for the second iteration and recovers during
+        # the third.  Each iteration is divided by the slower of its two
+        # brackets: the slow one reads 4/2, like the first's 1/0.5, and
+        # the median drops the third's 1/2.
+        clock = iter([0.0, 1.0, 1.0, 5.0, 5.0, 6.0])
+        monkeypatch.setattr(bench, "time", SimpleNamespace(
+            perf_counter=lambda: next(clock), process_time=time.process_time))
+        monkeypatch.setattr(bench, "_calibration_seconds",
+                            iter([0.5, 0.5, 2.0, 0.5]).__next__)
+        record = bench.run_case(_stub_case("stub.case"))
+        assert record["calibration_seconds"] == [0.5, 0.5, 2.0, 0.5]
+        assert record["wall_best"] == 1.0
+        assert record["wall_normalized"] == pytest.approx(2.0)
 
 
 class TestTrajectoryFiles:
@@ -178,12 +200,13 @@ class TestCompare:
         base = _payload(calibration=0.005, **{"a.b": 0.010})
         cur = _payload(calibration=0.010, **{"a.b": 0.020})
         cmp = bench.compare_runs(base, cur)
-        assert cmp["calibration_scale"] == pytest.approx(2.0)
+        assert cmp["rows"][0]["ratio"] == pytest.approx(1.0)
+        assert cmp["rows"][0]["baseline_wall"] == pytest.approx(0.010)
         assert cmp["regressions"] == []
         # The same walls on equally fast machines are a regression.
         same = bench.compare_runs(_payload(**{"a.b": 0.010}),
                                   _payload(**{"a.b": 0.020}))
-        assert same["calibration_scale"] == pytest.approx(1.0)
+        assert same["rows"][0]["ratio"] == pytest.approx(2.0)
         assert same["regressions"] == ["a.b"]
 
     def test_render_comparison_names_regressions(self):
@@ -214,15 +237,16 @@ class TestRunSuite:
         assert seen == ["a.one", "c.three"]
         assert set(payload["results"]) == {"a.one", "c.three"}
         env = payload["environment"]
-        assert env["calibration_seconds"] > 0
         assert env["python"] and env["numpy"]
+        assert all(rec["wall_normalized"] > 0
+                   for rec in payload["results"].values())
         path = bench.write_bench_file(payload, tmp_path)
         assert bench.read_bench_file(path)["results"] == payload["results"]
 
     def test_environment_fingerprint_fields(self):
         env = bench.environment_fingerprint()
         for key in ("repro", "python", "numpy", "platform", "machine",
-                    "cpu_count", "git_sha", "calibration_seconds"):
+                    "cpu_count", "git_sha"):
             assert key in env
 
 
@@ -335,8 +359,14 @@ class TestCampaignParallelGate:
     @staticmethod
     def _stub(monkeypatch, *, sequential_s=0.0, pooled_s=0.0,
               crashed=True, pooled_alarm=100.0, cores=2):
-        """Stub campaign: 2 cells x 2 runs, each payload tagged by mode."""
+        """Stub campaign: 2 cells x 2 runs, each payload tagged by mode.
+
+        Returns the worker count of every ``run_campaign`` call.
+        """
+        calls = []
+
         def run_campaign(specs, workers):
+            calls.append(workers)
             time.sleep(pooled_s if workers > 1 else sequential_s)
             return {"specs": specs, "pooled": workers > 1}
 
@@ -355,10 +385,22 @@ class TestCampaignParallelGate:
         monkeypatch.setattr(repro.analysis.campaign, "cells_payload",
                             cells_payload)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        return calls
 
     def test_passes_with_fast_identical_pool(self, monkeypatch):
         self._stub(monkeypatch, sequential_s=0.1, cores=4)
         assert _setup("campaign.parallel")()() == 4
+
+    @pytest.mark.parametrize("cores", [1, 2, 4, 8])
+    def test_timed_iteration_uses_two_workers_on_any_host(self, monkeypatch,
+                                                          cores):
+        # The speedup check pools with up to 4 workers, but the timed
+        # iteration is the 2-worker campaign the baseline holds.
+        calls = self._stub(monkeypatch, sequential_s=0.1, cores=cores)
+        run = _setup("campaign.parallel")()
+        assert calls == [1, min(4, cores)]
+        run()
+        assert calls[-1] == 2
 
     def test_diverging_pool_trips_equivalence(self, monkeypatch):
         self._stub(monkeypatch, pooled_alarm=101.0)
