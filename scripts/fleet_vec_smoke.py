@@ -22,7 +22,7 @@ Run from the repo root::
 
 Exit code 0 means every check passed.  Used by the CI
 ``fleet-vec-smoke`` job and handy locally after touching the fleet
-engine, the batched RNG or the campaign presimulation path.
+engine, the batched RNG or the campaign's fleet-shard work units.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ API for downstream parameter studies.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -74,9 +75,11 @@ class ExperimentSpec:
         Simulation core for the cell's runs: ``"object"`` (one
         :class:`~repro.memsim.machine.Machine` per run through the
         discrete-event kernel) or ``"vector"`` (the whole cell advanced
-        per tick by :class:`~repro.memsim.fleet_vec.VectorFleet`; the
-        fleet is presimulated once and workers only analyse).  Detector
-        plumbing, journaling and aggregation are engine-agnostic.
+        per tick by :class:`~repro.memsim.fleet_vec.VectorFleet`, one
+        fleet per work unit's shard of hosts, inside the pool worker).
+        Either way each host is simulated once and scored there by every
+        detector family of its cell's grid; detector plumbing,
+        journaling and aggregation are engine-agnostic.
     """
 
     name: str
@@ -164,38 +167,32 @@ class CellResult:
 
 
 def _execute_run(spec: ExperimentSpec, run_index: int,
-                 presimulated=None) -> RunRecord:
-    """Simulate and analyse one seeded run of a cell.
+                 presimulated) -> RunRecord:
+    """Score one seeded run of a cell on its simulated host.
 
     The single source of truth for per-run work: both the sequential
-    loop and the process pool call exactly this, with the seed derived
-    deterministically from (``base_seed``, ``run_index``) — which is
-    what makes ``workers=N`` output bit-identical to ``workers=1``.
-
-    Vector-engine cells pass the host's presimulated
-    :class:`~repro.memsim.machine.RunResult` as ``presimulated`` (the
-    fleet was advanced as one batch in the parent); the unit then only
-    analyses.  Counter-based per-host seeding makes the attached result
-    identical however the pending set was batched, so journal resume
-    and retries stay bit-exact.
+    loop and the process pool call exactly this from
+    :func:`_campaign_unit`, with ``presimulated`` the
+    :class:`~repro.memsim.machine.RunResult` of host ``base_seed +
+    run_index``, simulated once in the same unit for every detector
+    family that scores it.  Every variate of a host is a pure function
+    of its seed, so the result (and hence this record) is identical
+    however the hosts were sharded — which is what makes ``workers=N``
+    output, journal resume and retries bit-identical to ``workers=1``.
     """
     seed = spec.base_seed + run_index
+    result = presimulated
     with _obs.span("cell-run", cell=spec.name, run_index=run_index, seed=seed,
                    detector=spec.detector_name):
-        if presimulated is not None:
-            result = presimulated
-        else:
-            machine = _build(spec, seed)
-            result = machine.run()
-
         alarm_time: Optional[float] = None
         peak_healthy: Optional[float] = None
         peak_precrash: Optional[float] = None
         try:
-            evaluation = evaluate_detector(
-                spec.detector_name, result.bundle, spec,
-                collect_scores=spec.collect_scores,
-            )
+            with _obs.span("detector-score", family=spec.detector_name):
+                evaluation = evaluate_detector(
+                    spec.detector_name, result.bundle, spec,
+                    collect_scores=spec.collect_scores,
+                )
             alarm_time = evaluation.alarm_time
             peak_healthy = evaluation.peak_healthy
             peak_precrash = evaluation.peak_precrash
@@ -256,35 +253,80 @@ def _aggregate_cell(spec: ExperimentSpec, records: List[RunRecord]) -> CellResul
                       false_alarms=false_alarms)
 
 
-def _campaign_unit(unit) -> RunRecord:
-    """Pool entry point: one (spec, run_index[, presimulated]) item."""
-    spec, run_index, *rest = unit
-    return _execute_run(spec, run_index,
-                        presimulated=rest[0] if rest else None)
+def _simulation_identity(spec: ExperimentSpec) -> tuple:
+    """The spec fields that decide what its hosts simulate: specs that
+    share them (the ``<cell>@<detector>`` copies of one
+    :func:`detector_grid` cell) share every host's run."""
+    return (spec.scenario, spec.profile, spec.n_runs, spec.base_seed,
+            spec.fault_factor, spec.max_run_seconds, spec.engine)
 
 
-def _presimulate_cell(spec: ExperimentSpec,
-                      run_indices: Sequence[int]) -> Dict[int, "RunResult"]:
-    """Advance one vector-engine cell's pending hosts as a single fleet.
+def _plan_shards(jobs: Sequence[tuple], workers: int) -> List[tuple]:
+    """Split pending ``(spec, run_index)`` jobs into pool work units.
 
-    Returns run_index -> RunResult.  Because every variate is a pure
-    function of ``(base_seed + run_index, stream, tick)``, the subset of
-    hosts simulated together is irrelevant: resuming a half-journaled
-    campaign presimulates only the missing hosts yet reproduces exactly
-    what a full-fleet run would have given them.
+    Jobs are grouped by :func:`_simulation_identity`.  A unit is one
+    host on the object engine and, on the vector engine, a contiguous
+    slice of its group's pending hosts: ``ceil(workers / vector
+    groups)`` slices per group, so a grid of few cells still fills the
+    pool while each fleet keeps as many hosts per tick as it can (the
+    vector engine's cost is per tick, not per host).  Each unit lists
+    its jobs host by host, in spec order within a host.
     """
-    from ..memsim.fleet_vec import VectorFleet
-    from ..memsim.scenarios import scenario_batch_job, scenario_config
+    groups: Dict[tuple, Dict[int, List[ExperimentSpec]]] = {}
+    for spec, i in jobs:
+        groups.setdefault(_simulation_identity(spec), {}) \
+            .setdefault(i, []).append(spec)
+    n_vector = sum(1 for key in groups if key[-1] == "vector")
+    per_group = max(1, math.ceil(workers / n_vector)) if n_vector else 1
+    shards: List[tuple] = []
+    for key, hosts in groups.items():
+        indices = sorted(hosts)
+        if key[-1] == "vector":
+            size = len(indices)
+            n = min(per_group, size)
+            slices = [indices[k * size // n:(k + 1) * size // n]
+                      for k in range(n)]
+        else:
+            slices = [[i] for i in indices]
+        for part in slices:
+            shards.append(tuple((spec, i) for i in part for spec in hosts[i]))
+    return shards
 
+
+def _simulate_shard(spec: ExperimentSpec,
+                    run_indices: Sequence[int]) -> Dict[int, "RunResult"]:
+    """Simulate hosts ``base_seed + i`` of ``spec`` once; returns
+    run_index -> RunResult.
+
+    The vector engine advances them as one fleet.  Because every
+    variate is a pure function of ``(base_seed + run_index, stream,
+    tick)``, which hosts share a fleet is irrelevant: a shard, or a
+    resume that simulates only the missing hosts, reproduces exactly
+    what a whole-cell fleet would have given them.
+    """
     seeds = [spec.base_seed + i for i in run_indices]
-    config = scenario_config(spec.scenario, seed=spec.base_seed,
-                             **_scenario_kwargs(spec))
-    with _obs.span("cell-presimulate", cell=spec.name, hosts=len(seeds),
+    with _obs.span("shard-simulate", cell=spec.name, hosts=len(seeds),
                    engine=spec.engine):
-        fleet = VectorFleet(config, seeds=seeds,
-                            batch_job=scenario_batch_job(spec.scenario))
-        results = fleet.run()
+        if spec.engine == "vector":
+            from ..memsim.fleet_vec import VectorFleet
+            from ..memsim.scenarios import scenario_batch_job, scenario_config
+
+            config = scenario_config(spec.scenario, seed=spec.base_seed,
+                                     **_scenario_kwargs(spec))
+            results = VectorFleet(
+                config, seeds=seeds,
+                batch_job=scenario_batch_job(spec.scenario)).run()
+        else:
+            results = [_build(spec, seed).run() for seed in seeds]
     return dict(zip(run_indices, results))
+
+
+def _campaign_unit(jobs: tuple) -> List[RunRecord]:
+    """Pool entry point: simulate one shard's hosts once, then score
+    each host for every pending ``(spec, run_index)`` job on it."""
+    hosts = _simulate_shard(jobs[0][0],
+                            list(dict.fromkeys(i for _, i in jobs)))
+    return [_execute_run(spec, i, presimulated=hosts[i]) for spec, i in jobs]
 
 
 def cells_payload(results: Dict[str, CellResult]) -> Dict[str, dict]:
@@ -333,7 +375,10 @@ def detector_grid(specs: Sequence[ExperimentSpec],
     Every cell in ``specs`` is replicated once per detector name as
     ``<cell>@<detector>``; seeds, scenarios and budgets are untouched,
     so each detector family scores the *same* simulated runs and the
-    scoreboard comparison is apples-to-apples.
+    scoreboard comparison is apples-to-apples.  The copies share a
+    simulation identity, so :func:`execute_campaign` simulates each of
+    the cell's hosts once and scores it for every family in the same
+    work unit.
     """
     if not specs:
         raise ValidationError("detector grid needs at least one spec")
@@ -434,15 +479,23 @@ def execute_campaign(
     """Run a campaign with crash tolerance; returns a
     :class:`CampaignOutcome`.
 
-    The campaign's (cell, run) work units execute through
-    :func:`repro.perf.pool.resilient_map`: ``workers > 1`` fans them
-    across a process pool, each unit seeded from its (``base_seed``,
-    ``run_index``) alone and reassembled in submission order, so results
-    are bit-identical to sequential.  ``timeout`` bounds each unit's
-    wall clock (parallel mode only) and ``retries`` re-runs units whose
-    worker died, hung, or raised a transient :class:`ChaosError`, with
-    exponential backoff — a retried unit recomputes the identical
-    record, so resilience never perturbs results.
+    The campaign yields one :class:`RunRecord` per (cell, run).  Specs
+    that simulate the same hosts (the ``<cell>@<detector>`` copies of a
+    :func:`detector_grid` cell) are grouped, and each pool work unit
+    simulates a shard of a group's hosts once — one host on the object
+    engine, a contiguous slice of the group's pending hosts as one
+    :class:`~repro.memsim.fleet_vec.VectorFleet` on the vector engine —
+    then scores every pending (cell, run) on it, inside the worker.
+    Units execute through :func:`repro.perf.pool.resilient_map`:
+    ``workers > 1`` fans them across a process pool; every host is
+    seeded from its (``base_seed``, ``run_index``) alone, so results
+    are bit-identical to sequential however the hosts were sharded.
+    ``timeout`` bounds each work unit's wall clock (parallel mode only)
+    and ``retries`` re-runs units whose worker died, hung, or raised a
+    transient :class:`ChaosError`, with exponential backoff — a retried
+    unit recomputes the identical records, so resilience never perturbs
+    results.  A unit that fails permanently loses every (cell, run) on
+    its shard.
 
     ``journal`` names an append-only checkpoint file
     (:class:`~repro.analysis.checkpoint.CampaignJournal`): every
@@ -474,8 +527,8 @@ def execute_campaign(
     """
     _validate_specs(specs)
     workers = resolve_workers(workers)
-    units = [(spec, i) for spec in specs for i in range(spec.n_runs)]
-    keys = [unit_key(spec, i) for spec, i in units]
+    jobs = [(spec, i) for spec in specs for i in range(spec.n_runs)]
+    keys = [unit_key(spec, i) for spec, i in jobs]
     fingerprint = campaign_fingerprint(specs)
 
     completed: Dict[str, RunRecord] = {}
@@ -493,9 +546,8 @@ def execute_campaign(
             last_progress_at = state.last_progress_at
             _obs.counter("campaign.units_resumed").inc(len(completed))
 
-    pending = [(unit, key) for unit, key in zip(units, keys)
-               if key not in completed]
-    _log.info("campaign starting", cells=len(specs), units=len(units),
+    pending = [job for job, key in zip(jobs, keys) if key not in completed]
+    _log.info("campaign starting", cells=len(specs), units=len(jobs),
               resumed=len(completed), pending=len(pending), workers=workers,
               fingerprint=fingerprint,
               last_progress_at=(last_progress_at
@@ -503,7 +555,7 @@ def execute_campaign(
 
     if status is not None:
         status.begin(
-            total_units=len(units),
+            total_units=len(jobs),
             cells={spec.name: spec.n_runs for spec in specs},
             resumed=len(completed),
             fingerprint=fingerprint,
@@ -513,47 +565,27 @@ def execute_campaign(
         )
     if timeline is not None:
         timeline.annotate(
-            "campaign-begin", cells=len(specs), units=len(units),
+            "campaign-begin", cells=len(specs), units=len(jobs),
             resumed=len(completed), pending=len(pending), workers=workers,
             fingerprint=fingerprint)
 
     outcomes = []
+    missing: List[MissingUnit] = []
     if pending:
-        pending_units = [unit for unit, _ in pending]
-        pending_keys = [key for _, key in pending]
-        # Vector-engine cells: advance each cell's pending hosts as one
-        # batched fleet here in the parent, then attach the per-host
-        # result to its unit — workers only analyse.  Counter-based
-        # seeding makes each host's result independent of which other
-        # hosts were batched with it, so resume/retry stay bit-exact.
-        if any(spec.engine == "vector" for spec in specs):
-            by_cell: Dict[str, List[int]] = {}
-            for spec, i in pending_units:
-                if spec.engine == "vector":
-                    by_cell.setdefault(spec.name, []).append(i)
-            presim = {
-                spec.name: _presimulate_cell(spec, by_cell[spec.name])
-                for spec in specs if spec.name in by_cell
-            }
-            pending_units = [
-                (spec, i, presim[spec.name][i]) if spec.name in presim
-                else (spec, i)
-                for spec, i in pending_units
-            ]
+        shards = _plan_shards(pending, workers)
         journal_handle = (CampaignJournal(journal, fingerprint=fingerprint)
                           if journal is not None else None)
 
-        def on_result(index: int, record: RunRecord) -> None:
-            key = pending_keys[index]
-            completed[key] = record
-            if journal_handle is not None:
-                journal_handle.record_unit(key, asdict(record))
-            if status is not None:
-                status.unit_finished(
-                    cell=pending_units[index][0].name,
-                    detector=pending_units[index][0].detector_name,
-                    alarmed=record.alarm_time is not None,
-                )
+        def on_result(index: int, records: List[RunRecord]) -> None:
+            for (spec, i), record in zip(shards[index], records):
+                key = unit_key(spec, i)
+                completed[key] = record
+                if journal_handle is not None:
+                    journal_handle.record_unit(key, asdict(record))
+                if status is not None:
+                    status.unit_finished(
+                        cell=spec.name, detector=spec.detector_name,
+                        alarmed=record.alarm_time is not None)
 
         pre_unit = (partial(chaos_pre_unit, chaos)
                     if chaos is not None else None)
@@ -561,10 +593,10 @@ def execute_campaign(
         try:
             with _ops.trace_scope(trace), \
                     _obs.span("campaign-pool", cells=len(specs),
-                              units=len(pending_units), workers=workers,
-                              trace_id=trace.trace_id):
+                              units=len(pending), shards=len(shards),
+                              workers=workers, trace_id=trace.trace_id):
                 outcomes = resilient_map(
-                    _campaign_unit, pending_units, workers=workers,
+                    _campaign_unit, shards, workers=workers,
                     label="campaign-worker", timeout=timeout,
                     retries=retries, backoff_base=backoff_base,
                     backoff_cap=backoff_cap, retry_exceptions=(ChaosError,),
@@ -574,17 +606,16 @@ def execute_campaign(
             if journal_handle is not None:
                 journal_handle.close()
 
-        missing = [
-            MissingUnit(cell=pending_units[o.index][0].name,
-                        run_index=pending_units[o.index][1],
-                        error=o.error or "unknown failure")
-            for o in outcomes if not o.ok
-        ]
+        # A failed shard loses every job on it; list them in spec order.
+        failed = {unit_key(spec, i): o.error or "unknown failure"
+                  for o in outcomes if not o.ok
+                  for spec, i in shards[o.index]}
+        missing = [MissingUnit(cell=spec.name, run_index=i,
+                               error=failed[unit_key(spec, i)])
+                   for spec, i in pending if unit_key(spec, i) in failed]
         if status is not None:
             for unit in missing:
                 status.unit_failed(cell=unit.cell, error=unit.error)
-    else:
-        missing = []
 
     results: Dict[str, CellResult] = {}
     for spec in specs:
@@ -596,8 +627,8 @@ def execute_campaign(
         results=results,
         status="complete" if not missing else "incomplete",
         missing=missing,
-        executed_units=sum(1 for o in outcomes if o.ok),
-        resumed_units=len(units) - len(pending),
+        executed_units=sum(len(o.result) for o in outcomes if o.ok),
+        resumed_units=len(jobs) - len(pending),
         resumed_last_progress_at=last_progress_at,
     )
     if status is not None:
@@ -634,10 +665,11 @@ def run_campaign(
 ) -> Dict[str, CellResult]:
     """Run every cell; returns results keyed by spec name.
 
-    ``workers > 1`` fans the campaign's (cell, run) work units across a
-    process pool: every unit is seeded from its (``base_seed``,
-    ``run_index``) alone, results are reassembled in submission order
-    and aggregated by the same code as the sequential loop, so the
+    ``workers > 1`` fans the campaign's work units (see
+    :func:`execute_campaign`) across a process pool: every host is
+    seeded from its (``base_seed``, ``run_index``) alone, results are
+    reassembled in submission order and aggregated by the same code as
+    the sequential loop, so the
     returned :class:`CellResult` values — and the
     :func:`cells_payload` built from them — are bit-identical to a
     ``workers=1`` run.  Per-worker telemetry (counters, spans, events)

@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--base-seed", type=int, default=1)
     camp.add_argument("--max-seconds", type=float, default=60_000.0)
     camp.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="worker processes for the campaign's (cell, run) "
-                           "work units; results are bit-identical to "
+                      help="worker processes for the campaign's work "
+                           "units; results are bit-identical to "
                            "sequential (default: all cores; 1 = sequential)")
     camp.add_argument("--engine", choices=("object", "vector"),
                       default="object",
@@ -205,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also render the detection-quality dashboard "
                            "to this HTML file")
     camp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                      help="wall-clock budget per (cell, run) work unit; "
-                           "a unit past it is killed and retried "
-                           "(parallel mode only)")
+                      help="wall-clock budget per work unit (one host on "
+                           "the object engine, one fleet shard of a cell's "
+                           "hosts on the vector engine, scored by every "
+                           "--detectors family); a unit past it is killed "
+                           "and retried (parallel mode only)")
     camp.add_argument("--retries", type=int, default=0, metavar="N",
                       help="re-run a unit up to N times after a worker "
                            "death, timeout or transient failure, with "
@@ -607,12 +609,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    n_units = len(specs) * args.runs
+    n_runs = len(specs) * args.runs
+    from .analysis.campaign import _plan_shards
     from .perf.pool import resolve_workers
 
     if args.resume and not args.journal:
         print("error: --resume requires --journal", file=sys.stderr)
         return 2
+    workers = resolve_workers(args.workers)
     chaos = None
     if args.chaos:
         try:
@@ -620,11 +624,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        # Faults are scheduled per pool work unit (a host, or a fleet
+        # shard on the vector engine), not per (cell, run).
+        n_units = len(_plan_shards(
+            [(spec, i) for spec in specs for i in range(spec.n_runs)],
+            workers))
         scheduled = chaos.scheduled_faults(n_units)
         print(f"chaos: sabotaging {len(scheduled)} of {n_units} "
-              f"unit(s) ({args.chaos})")
-
-    workers = resolve_workers(args.workers)
+              f"work unit(s) ({args.chaos})")
 
     # Control plane (all observation, never touches campaign payloads):
     # flight recorder, resource sampler / self-watch, HTTP status
@@ -666,7 +673,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"(/metrics, /healthz, /timeline)", flush=True)
 
     suffix = f" across {workers} workers" if workers > 1 else ""
-    print(f"running {n_units} simulations "
+    print(f"running {n_runs} runs "
           f"({args.scenario}/{args.profile}){suffix}...")
     try:
         try:

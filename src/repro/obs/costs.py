@@ -11,11 +11,12 @@ did the wall time go":
   duration, clamped at zero — parents overlap their children, and a
   pool span overlaps its concurrent workers),
 * classified into the pipeline's five **phases** — ``simulate``
-  (machine setup/run, vector fleet runs), ``cwt-holder`` (the wavelet
-  transform + Hölder trajectory), ``analysis``
-  (preprocess/indicator/detector), ``trace-io`` (trace collection and
-  writes) and ``pool-overhead``
-  (pool scheduling, worker glue) — with unmatched names inheriting the
+  (machine setup/run, vector fleet runs, a campaign unit's shard
+  simulation), ``cwt-holder`` (the wavelet transform + Hölder
+  trajectory), ``analysis`` (preprocess/indicator/detector, and each
+  detector family's scoring of a campaign run), ``trace-io`` (trace
+  collection and writes) and ``pool-overhead`` (pool scheduling,
+  worker glue) — with unmatched names inheriting the
   nearest classified ancestor, else ``other``,
 * per worker (``attrs.worker_ordinal``; local spans pool under
   ``"parent"``) and pooled, with shares over total attributed self time
@@ -59,8 +60,9 @@ _PHASE_BY_SPAN = {
     "preprocess": "analysis",
     "indicator": "analysis",
     "detector": "analysis",
+    "detector-score": "analysis",
     "fleet-vec-run": "simulate",
-    "cell-presimulate": "simulate",
+    "shard-simulate": "simulate",
     "machine-collect": "trace-io",
     "write-trace": "trace-io",
     "campaign-pool": "pool-overhead",

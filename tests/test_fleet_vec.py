@@ -338,15 +338,25 @@ class TestCampaignVector:
         )
         from repro.testing.chaos import ChaosSpec
 
-        specs = [ExperimentSpec(name="v", scenario="stress", n_runs=3,
-                                base_seed=17, fault_factor=4.0,
-                                max_run_seconds=3_000.0, engine="vector")]
+        # Two vector cells: two work units (one fleet shard each) at
+        # workers=1, so a raise schedule can fail one and spare the other.
+        specs = [ExperimentSpec(name=name, scenario="stress", n_runs=3,
+                                base_seed=seed, fault_factor=4.0,
+                                max_run_seconds=3_000.0, engine="vector")
+                 for name, seed in (("v", 17), ("w", 117))]
+        n_units = 2
+        chaos = next(
+            c for c in (ChaosSpec(raise_rate=0.5, seed=s) for s in range(64))
+            if 0 < len(c.scheduled_faults(n_units)) < n_units)
         ref = cells_payload(execute_campaign(specs, workers=1).results)
         journal = tmp_path / "journal.jsonl"
         partial = execute_campaign(
             specs, workers=1, journal=journal, allow_partial=True,
-            chaos=ChaosSpec(raise_rate=0.6, seed=5))
+            chaos=chaos)
         assert partial.status == "incomplete"
+        assert len(partial.missing) == 3
         resumed = execute_campaign(specs, workers=1, journal=journal,
                                    resume=True)
+        assert resumed.resumed_units == 3
+        assert resumed.executed_units == 3
         assert cells_payload(resumed.results) == ref

@@ -35,9 +35,11 @@ class TestClassification:
         ("machine-collect", "trace-io"),
         ("cell-run/write-trace", "trace-io"),
         ("simulate/write-trace", "trace-io"),
-        ("cell-presimulate", "simulate"),
-        ("cell-presimulate/fleet-vec-run", "simulate"),
-        ("campaign-pool/cell-presimulate/fleet-vec-run", "simulate"),
+        ("shard-simulate", "simulate"),
+        ("shard-simulate/fleet-vec-run", "simulate"),
+        ("campaign-pool/campaign-worker/shard-simulate/fleet-vec-run",
+         "simulate"),
+        ("campaign-pool/campaign-worker/cell-run/detector-score", "analysis"),
         ("campaign-pool", "pool-overhead"),
         ("campaign-pool/campaign-worker/cell-run", "pool-overhead"),
         # Unlisted leaf inherits its nearest classified ancestor.
@@ -229,13 +231,20 @@ class TestSessionIntegration:
         assert sum(shares) == pytest.approx(1.0)
 
     def test_vector_campaign_spans_all_classified(self):
-        from repro.analysis import ExperimentSpec, run_campaign
+        from repro.analysis import ExperimentSpec, detector_grid, run_campaign
 
+        families = ["holder", "trend", "entropy"]
+        specs = detector_grid([ExperimentSpec(name="vec", n_runs=2,
+                                              max_run_seconds=3_000.0,
+                                              engine="vector")], families)
         with obs.telemetry_session() as session:
-            run_campaign([ExperimentSpec(name="vec", n_runs=2,
-                                         max_run_seconds=3_000.0,
-                                         engine="vector")], workers=1)
-            paths = {s["path"] for s in session.spans.to_list()}
-        assert "cell-presimulate/fleet-vec-run" in paths
+            run_campaign(specs, workers=1)
+            spans = session.spans.to_list()
+        paths = {s["path"] for s in spans}
+        assert ("campaign-pool/campaign-worker/shard-simulate/fleet-vec-run"
+                in paths)
         assert {p: classify_span(p) for p in paths
                 if classify_span(p) == "other"} == {}
+        scored = [s["attrs"]["family"] for s in spans
+                  if s["path"].endswith("/cell-run/detector-score")]
+        assert sorted(scored) == sorted(families * 2)
