@@ -1243,9 +1243,11 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 
     costs = None
     if args.costs:
+        from .obs.costs import validate_cost_profile
+
         try:
             with open(args.costs, "r", encoding="utf-8") as handle:
-                costs = _json.load(handle)
+                costs = validate_cost_profile(_json.load(handle))
         except (OSError, ValueError) as exc:
             print(f"error: bad costs profile {args.costs}: {exc}",
                   file=sys.stderr)

@@ -5,11 +5,11 @@ Internal to :mod:`repro.obs` — the public surface is the renderers in
 markup (no timestamps, no randomness) so dashboard output can be
 golden-tested byte-for-byte.
 
-The single-series :func:`_line_chart`, the page chrome (:data:`_STYLE`,
-:data:`_SCRIPT`, :func:`_page`), tiles, tick/decimation helpers and the
-number formatters were extracted verbatim from ``dashboard.py``;
-:func:`multi_line_chart` is the multi-series variant added for the
-timeline panels (per-worker RSS, throughput overlays).
+The single-series :func:`_line_chart` (with a hover layer) and the
+multi-series :func:`multi_line_chart` (with a legend, for the timeline
+panels) both draw through one SVG skeleton, :func:`_plot`.  The page
+chrome (:data:`_STYLE`, :data:`_SCRIPT`, :func:`_page`), tiles,
+tick/decimation helpers and the number formatters live here too.
 """
 
 from __future__ import annotations
@@ -109,30 +109,43 @@ class _Marker:
         self.title = title or label
 
 
-def _line_chart(
+def _empty_chart(title: str) -> str:
+    return (f'<figure class="chart"><figcaption>{_esc(title)}'
+            f'</figcaption><p class="empty">no data</p></figure>')
+
+
+def _plot(
     chart_id: str,
     title: str,
-    times: Sequence[float],
-    values: Sequence[float],
+    series: Sequence[Tuple[str, Optional[str], Sequence[float],
+                           Sequence[float]]],
     *,
-    series_css: str = "s1",
-    y_format: str = "si",
-    markers: Sequence[_Marker] = (),
+    y_format: str,
+    markers: Sequence[_Marker],
+    x_max: Optional[float],
     baseline: Optional[float] = None,
     baseline_label: str = "",
-    x_max: Optional[float] = None,
-) -> str:
-    """One single-series line chart with time markers, as an HTML block."""
-    if not times:
-        return (f'<figure class="chart"><figcaption>{_esc(title)}'
-                f'</figcaption><p class="empty">no data</p></figure>')
-    dt, dv = _decimate(list(times), list(values))
-    x_lo, x_hi = float(min(dt)), float(max(dt))
+    hover: bool = False,
+) -> Tuple[str, Tuple[float, float, float, float]]:
+    """The ``<svg>`` skeleton every line chart shares.
+
+    ``series`` holds decimated ``(css, label, times, values)`` tuples; a
+    label becomes its polyline's ``<title>``.  Draws the y gridlines and
+    ticks, the x ticks, the time axis, the optional reference
+    ``baseline``, the polylines, the time markers and (with ``hover``)
+    the crosshair layer.  Returns the markup and the plotted
+    ``(x_lo, x_hi, y_lo, y_hi)``.
+    """
+    x_lo = float(min(min(ts) for _, _, ts, _ in series))
+    x_hi = float(max(max(ts) for _, _, ts, _ in series))
     if x_max is not None:
         x_hi = max(x_hi, float(x_max))
     for m in markers:
         x_hi = max(x_hi, m.t)
-    y_vals = list(dv) + ([baseline] if baseline is not None else [])
+    y_vals = [min(vs) for _, _, _, vs in series]
+    y_vals += [max(vs) for _, _, _, vs in series]
+    if baseline is not None:
+        y_vals.append(baseline)
     y_lo, y_hi = float(min(y_vals)), float(max(y_vals))
     if y_hi == y_lo:
         y_hi, y_lo = y_hi + 1.0, y_lo - 1.0
@@ -185,8 +198,11 @@ def _line_chart(
                          f'x="{_CHART_W - _PAD_R - 4}" y="{y - 5:.1f}" '
                          f'text-anchor="end">{_esc(baseline_label)}</text>')
     # the series
-    points = " ".join(f"{sx(t):.1f},{sy(v):.1f}" for t, v in zip(dt, dv))
-    parts.append(f'<polyline class="line {series_css}" points="{points}"/>')
+    for css, label, ts, vs in series:
+        points = " ".join(f"{sx(t):.1f},{sy(v):.1f}" for t, v in zip(ts, vs))
+        tail = ("/>" if label is None
+                else f"><title>{_esc(label)}</title></polyline>")
+        parts.append(f'<polyline class="line {css}" points="{points}"{tail}')
     # markers: full-height event lines with top labels, or baseline ticks
     seen_labels = set()
     for m in markers:
@@ -208,14 +224,40 @@ def _line_chart(
             parts.append(f'<text class="event-label {m.css}" '
                          f'x="{x + dx:.1f}" y="{_PAD_T + 10}" '
                          f'text-anchor="{anchor}">{_esc(m.label)}</text>')
-    # hover layer (crosshair + tooltip, driven by the embedded script)
-    parts.append(f'<line class="cursor" x1="0" y1="{_PAD_T}" x2="0" '
-                 f'y2="{_CHART_H - _PAD_B}" visibility="hidden"/>')
-    parts.append('<circle class="cursor-dot" r="4" visibility="hidden"/>')
-    parts.append(f'<rect class="hover-target" x="{_PAD_L}" y="{_PAD_T}" '
-                 f'width="{plot_w}" height="{plot_h}" fill="none" '
-                 f'pointer-events="all"/>')
+    if hover:
+        # crosshair + tooltip, driven by the embedded script
+        parts.append(f'<line class="cursor" x1="0" y1="{_PAD_T}" x2="0" '
+                     f'y2="{_CHART_H - _PAD_B}" visibility="hidden"/>')
+        parts.append('<circle class="cursor-dot" r="4" visibility="hidden"/>')
+        parts.append(f'<rect class="hover-target" x="{_PAD_L}" y="{_PAD_T}" '
+                     f'width="{plot_w}" height="{plot_h}" fill="none" '
+                     f'pointer-events="all"/>')
     parts.append("</svg>")
+    return "".join(parts), (x_lo, x_hi, y_lo, y_hi)
+
+
+def _line_chart(
+    chart_id: str,
+    title: str,
+    times: Sequence[float],
+    values: Sequence[float],
+    *,
+    series_css: str = "s1",
+    y_format: str = "si",
+    markers: Sequence[_Marker] = (),
+    baseline: Optional[float] = None,
+    baseline_label: str = "",
+    x_max: Optional[float] = None,
+) -> str:
+    """One single-series line chart with time markers and a hover
+    layer, as an HTML block."""
+    if not times:
+        return _empty_chart(title)
+    dt, dv = _decimate(list(times), list(values))
+    svg, (x_lo, x_hi, y_lo, y_hi) = _plot(
+        chart_id, title, [(series_css, None, dt, dv)], y_format=y_format,
+        markers=markers, x_max=x_max, baseline=baseline,
+        baseline_label=baseline_label, hover=True)
     payload = {
         "t": [round(float(t), 4) for t in dt],
         "v": [float(v) for v in dv],
@@ -225,7 +267,7 @@ def _line_chart(
     }
     return (
         f'<figure class="chart"><figcaption>{_esc(title)}</figcaption>'
-        + "".join(parts)
+        + svg
         + f'<script type="application/json" data-for="{_esc(chart_id)}">'
         + json.dumps(payload)
         + "</script>"
@@ -256,88 +298,15 @@ def multi_line_chart(
     series = [(label, list(ts), list(vs)) for label, ts, vs in series
               if len(ts)]
     if not series:
-        return (f'<figure class="chart"><figcaption>{_esc(title)}'
-                f'</figcaption><p class="empty">no data</p></figure>')
-    dec = [(label,) + _decimate(ts, vs) for label, ts, vs in series]
-    x_lo = min(min(ts) for _, ts, _ in dec)
-    x_hi = max(max(ts) for _, ts, _ in dec)
-    if x_max is not None:
-        x_hi = max(x_hi, float(x_max))
-    for m in markers:
-        x_hi = max(x_hi, m.t)
-    y_lo = min(min(vs) for _, _, vs in dec)
-    y_hi = max(max(vs) for _, _, vs in dec)
-    if y_hi == y_lo:
-        y_hi, y_lo = y_hi + 1.0, y_lo - 1.0
-    span = y_hi - y_lo
-    y_lo -= 0.06 * span
-    y_hi += 0.06 * span
-
-    plot_w = _CHART_W - _PAD_L - _PAD_R
-    plot_h = _CHART_H - _PAD_T - _PAD_B
-
-    def sx(t: float) -> float:
-        return _PAD_L + plot_w * (t - x_lo) / (x_hi - x_lo or 1.0)
-
-    def sy(v: float) -> float:
-        return _PAD_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
-
-    parts: List[str] = []
-    parts.append(
-        f'<svg viewBox="0 0 {_CHART_W} {_CHART_H}" role="img" '
-        f'aria-label="{_esc(title)}" data-chart="{_esc(chart_id)}">')
-    for tick in _ticks(y_lo, y_hi, 5):
-        if tick < y_lo or tick > y_hi:
-            continue
-        y = sy(tick)
-        label = _fmt(tick) if y_format == "si" else f"{tick:g}"
-        parts.append(f'<line class="grid" x1="{_PAD_L}" y1="{y:.1f}" '
-                     f'x2="{_CHART_W - _PAD_R}" y2="{y:.1f}"/>')
-        parts.append(f'<text class="tick" x="{_PAD_L - 6}" y="{y + 3.5:.1f}" '
-                     f'text-anchor="end">{label}</text>')
-    for tick in _ticks(x_lo, x_hi, 6):
-        if tick < x_lo or tick > x_hi:
-            continue
-        x = sx(tick)
-        parts.append(f'<text class="tick" x="{x:.1f}" '
-                     f'y="{_CHART_H - _PAD_B + 16}" '
-                     f'text-anchor="middle">{_fmt(tick)}s</text>')
-    parts.append(f'<line class="axis" x1="{_PAD_L}" '
-                 f'y1="{_CHART_H - _PAD_B}" x2="{_CHART_W - _PAD_R}" '
-                 f'y2="{_CHART_H - _PAD_B}"/>')
-    legend: List[str] = []
-    for i, (label, ts, vs) in enumerate(dec):
-        css = _SERIES_CYCLE[i % len(_SERIES_CYCLE)]
-        points = " ".join(f"{sx(t):.1f},{sy(v):.1f}"
-                          for t, v in zip(ts, vs))
-        parts.append(f'<polyline class="line {css}" points="{points}">'
-                     f'<title>{_esc(label)}</title></polyline>')
-        legend.append(f'<span><span class="swatch {css}"></span>'
-                      f'{_esc(label)}</span>')
-    seen_labels = set()
-    for m in markers:
-        x = sx(m.t)
-        if m.dot:
-            parts.append(
-                f'<circle class="mark {m.css}" cx="{x:.1f}" '
-                f'cy="{_CHART_H - _PAD_B:.1f}" r="4">'
-                f'<title>{_esc(m.title)}</title></circle>')
-            continue
-        parts.append(f'<line class="event {m.css}" x1="{x:.1f}" '
-                     f'y1="{_PAD_T}" x2="{x:.1f}" '
-                     f'y2="{_CHART_H - _PAD_B}"><title>{_esc(m.title)}'
-                     f'</title></line>')
-        if m.label not in seen_labels:
-            seen_labels.add(m.label)
-            anchor = "start" if x < _CHART_W - 90 else "end"
-            dx = 4 if anchor == "start" else -4
-            parts.append(f'<text class="event-label {m.css}" '
-                         f'x="{x + dx:.1f}" y="{_PAD_T + 10}" '
-                         f'text-anchor="{anchor}">{_esc(m.label)}</text>')
-    parts.append("</svg>")
+        return _empty_chart(title)
+    dec = [(_SERIES_CYCLE[i % len(_SERIES_CYCLE)], label) + _decimate(ts, vs)
+           for i, (label, ts, vs) in enumerate(series)]
+    svg, _ = _plot(chart_id, title, dec, y_format=y_format, markers=markers,
+                   x_max=x_max)
+    legend = "".join(f'<span><span class="swatch {css}"></span>'
+                     f'{_esc(label)}</span>' for css, label, _, _ in dec)
     return (f'<figure class="chart"><figcaption>{_esc(title)}</figcaption>'
-            + "".join(parts)
-            + f'<div class="legend">{"".join(legend)}</div></figure>')
+            + svg + f'<div class="legend">{legend}</div></figure>')
 
 
 # -- shared page chrome --------------------------------------------------------

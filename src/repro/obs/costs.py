@@ -43,6 +43,7 @@ __all__ = [
     "classify_hotpath",
     "build_cost_profile",
     "cost_table",
+    "validate_cost_profile",
 ]
 
 COSTS_SCHEMA = "repro.costs/1"
@@ -257,3 +258,51 @@ def cost_table(costs: Mapping) -> List[List[str]]:
             "—" if share is None else f"{100.0 * share:.1f}%",
         ])
     return rows
+
+
+def _is_figure(value: object) -> bool:
+    return value is None or (isinstance(value, (int, float))
+                             and not isinstance(value, bool))
+
+
+def validate_cost_profile(costs: object) -> Mapping:
+    """Check that ``costs`` is a ``repro.costs/1`` profile whose figures
+    the renderers can read; returns it, else raises
+    :class:`ValidationError`.
+
+    Every figure (top-level totals, per-phase and per-worker phase
+    stats, CPU phase stats, cost-center numbers) must be a number or
+    ``None``.
+    """
+    if not isinstance(costs, Mapping) or costs.get("schema") != COSTS_SCHEMA:
+        raise ValidationError(f"not a {COSTS_SCHEMA} profile")
+    cpu = costs.get("cpu") or {}
+    workers = costs.get("workers", {})
+    centers = costs.get("top_cost_centers", [])
+    if not (isinstance(cpu, Mapping) and isinstance(workers, Mapping)
+            and isinstance(centers, list)):
+        raise ValidationError("malformed cpu/workers/top_cost_centers")
+    tables = {"phases": costs.get("phases"),
+              "cpu.phases": cpu.get("phases", {})}
+    tables.update((f"workers.{name}", table)
+                  for name, table in workers.items())
+    figures = {key: costs.get(key)
+               for key in ("wall_seconds", "attributed_seconds", "n_spans")}
+    for where, table in tables.items():
+        if not isinstance(table, Mapping):
+            raise ValidationError(f"{where} is not a mapping")
+        for phase, stats in table.items():
+            if not isinstance(stats, Mapping):
+                raise ValidationError(f"{where}.{phase} is not a mapping")
+            figures.update((f"{where}.{phase}.{key}", value)
+                           for key, value in stats.items())
+    for rank, center in enumerate(centers):
+        if not isinstance(center, Mapping):
+            raise ValidationError(f"top_cost_centers[{rank}] is not a mapping")
+        figures.update(
+            (f"top_cost_centers[{rank}].{key}", center.get(key))
+            for key in ("calls", "total_seconds", "self_seconds", "share"))
+    for where, value in figures.items():
+        if not _is_figure(value):
+            raise ValidationError(f"{where} is not a number: {value!r}")
+    return costs

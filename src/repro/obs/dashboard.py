@@ -41,6 +41,7 @@ from ._chart import (
     _PAD_B,
     _PAD_R,
     _PAD_T,
+    _SERIES_CYCLE,
     _Marker,
     _esc,
     _fmt,
@@ -395,10 +396,6 @@ def _lead_strip_chart(cells: Dict[str, dict]) -> str:
 
 # -- detector tournament (scoreboard) ------------------------------------------
 
-# Series classes cycled over detectors in the ROC chart and legend.
-_ROC_SERIES = ("s1", "s3", "s2", "s4", "s5", "s6")
-
-
 def _fmt_ratio(value: Optional[float]) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "—"
@@ -445,7 +442,7 @@ def _roc_chart(detectors: Mapping[str, dict]) -> str:
                  f'{size / 2:.0f})">true positive rate</text>')
     legend = []
     for i, (name, roc) in enumerate(curves):
-        css = _ROC_SERIES[i % len(_ROC_SERIES)]
+        css = _SERIES_CYCLE[i % len(_SERIES_CYCLE)]
         points = " ".join(
             f"{sx(float(f)):.1f},{sy(float(t)):.1f}"
             for f, t in zip(roc["fpr"], roc["tpr"]))

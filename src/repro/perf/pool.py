@@ -48,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..exceptions import ExecutionError, ValidationError
+from ..exceptions import ValidationError
 from ..obs import ops as _ops
 from ..obs import session as _obs
 from ..obs.logger import get_logger
@@ -596,13 +596,6 @@ def parallel_map(
     *,
     workers: Optional[int] = None,
     label: str = "worker",
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 30.0,
-    retry_exceptions: tuple = (),
-    pre_unit: Optional[Callable[[int, int], None]] = None,
-    on_result: Optional[Callable[[int, R], None]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items`` across processes, preserving input order.
 
@@ -610,8 +603,7 @@ def parallel_map(
     ----------
     fn:
         Module-level (picklable) function of one work unit.  Exceptions
-        it raises propagate to the caller (unless retried away via
-        ``retry_exceptions``).
+        it raises propagate to the caller.
     items:
         Work units; each must be picklable for the parallel path.
     workers:
@@ -619,43 +611,24 @@ def parallel_map(
         sequential loop in-process.
     label:
         Span-path prefix for telemetry imported from workers.
-    timeout, retries, backoff_base, backoff_cap, retry_exceptions, \
-pre_unit, on_result:
-        Resilience knobs, passed through to :func:`resilient_map`.
 
     Returns
     -------
     ``[fn(item) for item in items]`` — exactly, whichever path ran.
 
-    Raises
-    ------
-    The work function's own exception for a non-retryable failure, or
-    :class:`~repro.exceptions.ExecutionError` when a unit exhausted its
-    timeout/retry budget.  Callers that want partial results instead of
-    an exception use :func:`resilient_map` directly.
-
     Notes
     -----
     Falls back to the sequential loop (with a logged warning and a
     ``perf.pool.fallbacks`` counter increment) when the inputs do not
-    pickle or the pool cannot start; with ``retries=0`` and no
-    ``timeout``, a mid-run worker death also falls back rather than
-    failing (the sequential loop computes the identical thing).
+    pickle or the pool cannot start.  With no retry budget and no
+    timeout, the only failure a unit can suffer is its worker's death;
+    those units are then recomputed in-process, which yields the
+    identical thing.  Callers that want timeouts, retries or partial
+    results use :func:`resilient_map` directly.
     """
-    outcomes = resilient_map(
-        fn, items, workers=workers, label=label, timeout=timeout,
-        retries=retries, backoff_base=backoff_base, backoff_cap=backoff_cap,
-        retry_exceptions=retry_exceptions, pre_unit=pre_unit,
-        on_result=on_result,
-    )
+    outcomes = resilient_map(fn, items, workers=workers, label=label)
     failed = [o for o in outcomes if not o.ok]
-    if not failed:
-        return [o.result for o in outcomes]
-
-    if (retries == 0 and timeout is None
-            and all(o.error_kind == "worker-death" for o in failed)):
-        # Historical graceful-degradation path: a broken pool without a
-        # retry budget falls back to computing in-process.
+    if failed:
         _log.warning(
             "parallel map falling back to sequential: pool broke mid-run",
             failed_units=len(failed),
@@ -664,16 +637,7 @@ pre_unit, on_result:
         items = list(items)
         _sequential_attempts(
             fn, [(o.index, items[o.index]) for o in failed], outcomes,
-            capture=_obs.telemetry_enabled(), pre_unit=pre_unit,
-            on_result=on_result, retries=retries,
-            retry_exceptions=retry_exceptions, backoff_base=backoff_base,
-            backoff_cap=backoff_cap, label=label)
-        still = [o for o in outcomes if not o.ok]
-        if not still:
-            return [o.result for o in outcomes]
-        failed = still
-    summary = "; ".join(
-        f"unit {o.index}: {o.error} ({o.attempts} attempt(s))"
-        for o in failed[:5])
-    raise ExecutionError(
-        f"{len(failed)} work unit(s) failed permanently: {summary}")
+            capture=_obs.telemetry_enabled(), pre_unit=None, on_result=None,
+            retries=0, retry_exceptions=(), backoff_base=0.5,
+            backoff_cap=30.0, label=label)
+    return [o.result for o in outcomes]

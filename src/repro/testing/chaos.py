@@ -16,8 +16,7 @@ test you can re-run.  Because a unit stops being sabotaged after
 ``max_failures_per_unit`` attempts, a retry budget of at least that
 many always converges — and since the *work function* is untouched on
 the successful attempt, the chaos run's results are bit-identical to a
-calm run's.  That equivalence is the core assertion of the chaos tests
-and the CI chaos smoke job.
+calm run's.  That equivalence is the core assertion of the chaos tests.
 
 Used from tests and from ``python -m repro campaign --chaos`` (a dev
 flag: sabotage your own campaign, then watch retries, the checkpoint
@@ -177,9 +176,9 @@ def slow_write(handle: IO, data: str, *, chunk_size: int = 64,
                delay: float = 0.01) -> None:
     """Write ``data`` in small flushed chunks with sleeps in between.
 
-    Stretches a write out in wall-clock time so an external killer (the
-    CI chaos smoke's SIGKILL, a test's watchdog) has a window to land
-    mid-write — the scenario the atomic writers must survive.
+    Stretches a write out in wall-clock time so an external killer (a
+    SIGKILL, a test's watchdog) has a window to land mid-write — the
+    scenario the atomic writers must survive.
     """
     if chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")

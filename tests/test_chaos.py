@@ -3,13 +3,21 @@ and transient failures, and an interrupted-then-resumed campaign must be
 bit-identical to an uninterrupted one."""
 
 import io
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from contextlib import suppress
 
 import pytest
 
 from repro.analysis import cells_payload, execute_campaign
 from repro.analysis.campaign import ExperimentSpec, campaign_fingerprint
 from repro.analysis.checkpoint import CampaignJournal
-from repro.exceptions import ExecutionError, ValidationError
+from repro.cli import main
+from repro.exceptions import ExecutionError, TraceError, ValidationError
 from repro.testing.chaos import ChaosSpec, chaos_pre_unit, slow_write
 
 
@@ -89,6 +97,19 @@ def partial_kill_spec(n_units):
         if 0 < n < n_units:
             return chaos
     raise AssertionError("no partial kill schedule found")  # pragma: no cover
+
+
+def last_unit_hang_spec(n_units):
+    """A hang schedule that stalls only the last of ``n_units``.
+
+    The pool hands results back in unit order, so every earlier unit
+    reaches the journal while the hung one holds the campaign mid-run.
+    """
+    for seed in range(64):
+        chaos = ChaosSpec(hang_rate=0.3, seed=seed)
+        if chaos.scheduled_faults(n_units) == {n_units - 1: "hang"}:
+            return chaos
+    raise AssertionError("no last-unit hang schedule found")  # pragma: no cover
 
 
 class TestChaosCampaign:
@@ -182,3 +203,59 @@ class TestChaosCampaign:
                                  max_run_seconds=s.max_run_seconds)
                   for s in specs]
         assert campaign_fingerprint(specs) != campaign_fingerprint(bumped)
+
+
+def _journaled_units(path):
+    try:
+        return len(CampaignJournal.load(path))
+    except (OSError, TraceError):  # not created, or header not yet written
+        return 0
+
+
+class TestParentKill:
+    """SIGKILL a real campaign process mid-run, then ``--resume`` it."""
+
+    CAMPAIGN = ["campaign", "--runs", "2", "--max-seconds", "4000",
+                "--base-seed", "42"]
+
+    def test_killed_parent_resumes_to_calm_payload(self, tmp_path, capsys):
+        calm, resumed = tmp_path / "calm.json", tmp_path / "resumed.json"
+        journal = tmp_path / "journal.jsonl"
+        assert main(self.CAMPAIGN + ["--workers", "1", "--out", str(calm)]) == 0
+
+        # Object engine: one pool unit per host, 2 cells x 2 runs.  The
+        # last unit hangs, so once the journal holds the other three the
+        # parent is certainly still mid-run.
+        n_units = 4
+        chaos = last_unit_hang_spec(n_units)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *self.CAMPAIGN,
+             "--workers", "2", "--journal", str(journal),
+             "--chaos", f"hang={chaos.hang_rate:g},seed={chaos.seed}"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while _journaled_units(journal) < n_units - 1:
+                assert proc.poll() is None, "campaign exited mid-test"
+                assert time.monotonic() < deadline, "journal never filled"
+                time.sleep(0.05)
+        finally:
+            # The whole process group: the parent and its pool workers.
+            with suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+        assert proc.returncode == -signal.SIGKILL
+        assert _journaled_units(journal) == n_units - 1
+
+        assert main(self.CAMPAIGN + ["--journal", str(journal), "--resume",
+                                     "--out", str(resumed)]) == 0
+        out = capsys.readouterr().out
+        assert (f"resumed {n_units - 1} unit(s)" in out
+                and "executed 1 fresh" in out)
+        assert _journaled_units(journal) == n_units
+        assert json.loads(resumed.read_text()) == json.loads(calm.read_text())

@@ -700,10 +700,20 @@ class TestTimelineCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '"x"',
+        "[1, 2]",
+        '{"phases": []}',
+        '{"phases": {"simulate": {"share": "abc"}}}',
+        '{"schema": "repro.costs/1", '
+        '"phases": {"simulate": {"share": "abc"}}}',
+    ], ids=["not-json", "string", "list", "phases-list", "bad-share",
+            "bad-share-with-schema"])
     def test_corrupt_costs_profile_errors(self, timeline_file, tmp_path,
-                                          capsys):
+                                          capsys, text):
         bad = tmp_path / "costs.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code = main(["timeline", str(timeline_file), "--costs", str(bad),
                      "--dashboard", str(tmp_path / "t.html")])
         assert code == 2
@@ -735,3 +745,93 @@ class TestCampaignTimelineFlag:
                   if p["share"] is not None]
         assert sum(shares) == pytest.approx(1.0)
         assert "Cost attribution" in out or "cost" in out.lower()
+
+
+class TestChaosCampaignCli:
+    """A chaos-injected, fully instrumented vector campaign through the
+    CLI must reproduce a calm run, and every artifact it writes must
+    rebuild from disk.
+
+    Seed 136 crashes its aging host at t=3902 s on the vector engine,
+    inside the 5000 s budget.  The vector engine makes one pool unit per
+    cell, so ``--workers 2`` keeps two units in the real pool, where the
+    chaos kills land in workers, never in this process.
+    """
+
+    CAMPAIGN = ["campaign", "--engine", "vector", "--runs", "1",
+                "--base-seed", "136", "--max-seconds", "5000",
+                "--detectors", "holder,trend"]
+
+    def test_chaos_campaign_matches_calm_run(self, tmp_path, capsys):
+        from repro.obs.timeline import read_timeline, timeline_summary
+
+        calm, out = tmp_path / "calm.json", tmp_path / "chaos.json"
+        board_path, dash = tmp_path / "board.json", tmp_path / "dash.html"
+        tl, costs = tmp_path / "tl.jsonl", tmp_path / "costs.json"
+        flight = tmp_path / "flight.json"
+        assert main(self.CAMPAIGN + ["--workers", "1", "--out", str(calm)]) == 0
+        assert main(self.CAMPAIGN + [
+            "--workers", "2", "--retries", "2", "--chaos", "kill=1,seed=5",
+            "--out", str(out), "--scoreboard", str(board_path),
+            "--dashboard", str(dash), "--timeline", str(tl),
+            "--timeline-every", "0.2", "--costs", str(costs),
+            "--flight-record", str(flight), "--status-port", "0",
+            "--self-watch"]) == 0
+        stdout = capsys.readouterr().out
+        assert "chaos: sabotaging 2 of 2 work unit(s)" in stdout
+        assert "status: serving http://127.0.0.1:" in stdout
+        assert "Detector tournament" in stdout
+        # Worker kills, retries and every observer leave the payload as is.
+        payload = json.loads(out.read_text())
+        assert payload == json.loads(calm.read_text())
+
+        # Aging crashes and the healthy control survives, for each family.
+        for name, cell in payload["cells"].items():
+            crashed = [run["crashed"] for run in cell["runs"]]
+            assert all(crashed) if "-aging@" in name else not any(crashed)
+
+        # The real pool's flight dump on worker death.
+        record = json.loads(flight.read_text())
+        assert record["schema"] == "repro.flight-record/1"
+        assert record["reason"] == "worker-death"
+        assert record["failed_units"] and record["records"]
+        assert record["trace_id"]
+
+        # The timeline holds the retries and per-worker RSS frames.
+        records = read_timeline(tl)
+        summary = timeline_summary(records)  # validates the stream
+        assert summary["status"] == "complete"
+        assert summary["annotations_by_event"].get("retry", 0) >= 1
+        assert any(isinstance(worker.get("rss_bytes"), float)
+                   for r in records if r["kind"] == "frame"
+                   for worker in (r.get("resources") or {}).get("workers")
+                   or [])
+
+        board = json.loads(board_path.read_text())
+        assert board["schema"] == "repro.scoreboard/1"
+        assert set(board["detectors"]) == {"holder", "trend"}
+        assert board["n_cells"] == 4
+        for family in board["detectors"].values():
+            assert family["crashed"] == 1 and family["roc"] is not None
+            assert 0.0 <= family["auc"] <= 1.0
+        html = dash.read_text()
+        assert html.startswith("<!DOCTYPE html>")
+        assert "Detector tournament" in html and "<svg" in html
+        assert "holder" in html and "trend" in html
+
+        # Saved results alone rebuild the scoreboard and its export.
+        rebuilt, prom = tmp_path / "rebuilt.json", tmp_path / "board.prom"
+        assert main(["scoreboard", str(out), "-o", str(rebuilt),
+                     "--prom", str(prom)]) == 0
+        assert json.loads(rebuilt.read_text()) == board
+        text = prom.read_text()
+        assert text.endswith("# EOF\n")
+        assert 'repro_scoreboard_auc{detector="holder"' in text
+
+        # The timeline file alone rebuilds its dashboard.
+        tl_html = tmp_path / "tl.html"
+        assert main(["timeline", str(tl), "--costs", str(costs),
+                     "--dashboard", str(tl_html)]) == 0
+        html = tl_html.read_text()
+        assert html.startswith("<!DOCTYPE html>")
+        assert "Campaign timeline" in html and "Cost attribution" in html

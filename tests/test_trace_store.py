@@ -274,3 +274,17 @@ class TestSimulatorStoreRoundTrip:
             np.testing.assert_array_equal(
                 back[name].times, bundle[name].times)
         assert back.metadata["crash_time"] == bundle.metadata["crash_time"]
+        for key, value in bundle.metadata.items():
+            assert type(back.metadata[key]) is type(value), key
+
+        # Re-analysed from either codec alone, the run scores identically.
+        from repro.analysis.campaign import ExperimentSpec
+        from repro.analysis.detector_registry import evaluate_detector
+
+        write_csv(bundle, tmp_path / "run.csv")
+        spec = ExperimentSpec(name="store")
+        from_store, from_csv = (
+            evaluate_detector(spec.detector_name, read, spec,
+                              collect_scores=False).alarm_time
+            for read in (back, read_csv(tmp_path / "run.csv")))
+        assert from_store is not None and from_store == from_csv
