@@ -113,8 +113,9 @@ exception recorded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -570,6 +571,82 @@ def _parse_chaos(spec: str):
     return ChaosSpec(**kwargs)
 
 
+@contextlib.contextmanager
+def _control_plane(args: argparse.Namespace, *, kind: str,
+                   timeline_path: Optional[str] = None,
+                   begin: Optional[dict] = None,
+                   start_timeline: bool = True) -> Iterator[tuple]:
+    """Set up and tear down the ``campaign``/``watch`` control plane.
+
+    One rule for both commands: ``--status-port``, ``--self-watch`` or a
+    timeline path each get a status board, a resource sampler and a
+    timeline recorder (memory-only without a path) whose frame tick is
+    the only sampling loop; ``--status-port`` also gets the HTTP server.
+    ``--flight-record`` arms the flight recorder.  With none of these
+    nothing is built.  Yields ``(board, sampler, timeline)``, all None
+    when nothing was built.  ``begin`` opens the board before the server
+    starts (a campaign's board is opened by ``execute_campaign``);
+    ``start_timeline=False`` leaves starting the recorder to a caller
+    that must first fill its header fields.
+
+    Teardown stops the server, finalizes the timeline as ``"error"``
+    (a no-op once the command finalized it) and uninstalls the flight
+    recorder.  Everything here only observes: campaign payloads are
+    bit-identical with or without it.
+    """
+    flight_record = getattr(args, "flight_record", None)
+    self_watch = getattr(args, "self_watch", False)
+    board = sampler = timeline = server = None
+    if flight_record:
+        from .obs.ops import FlightRecorder, install_flight_recorder
+
+        install_flight_recorder(FlightRecorder(path=flight_record))
+        print(f"flight recorder armed -> {flight_record}")
+    try:
+        if (args.status_port is not None or self_watch
+                or timeline_path is not None):
+            from .obs.resources import ResourceSampler
+            from .obs.statusd import StatusBoard
+            from .obs.timeline import TimelineRecorder
+            from .perf.pool import pool_worker_pids
+
+            board = StatusBoard(kind=kind)
+            if begin is not None:
+                board.begin(**begin)
+            sampler = ResourceSampler(worker_pids=pool_worker_pids,
+                                      self_watch=self_watch)
+            timeline = TimelineRecorder(
+                timeline_path, interval=args.timeline_every,
+                board=board, resources=sampler)
+            if start_timeline:
+                timeline.start()
+        if args.timeline is not None:
+            print(f"timeline: recording -> {args.timeline} "
+                  f"(every {args.timeline_every:g}s)")
+        if args.status_port is not None:
+            from .obs.statusd import StatusServer
+
+            # A watch's /status reports the watched run; the watcher's
+            # own RSS lands in its timeline frames only.
+            server = StatusServer(
+                port=args.status_port, board=board,
+                resources=sampler if kind == "campaign" else None,
+                timeline=timeline)
+            port = server.start()
+            print(f"status: serving http://127.0.0.1:{port}/status "
+                  f"(/metrics, /healthz, /timeline)", flush=True)
+        yield board, sampler, timeline
+    finally:
+        if server is not None:
+            server.stop()
+        if timeline is not None:
+            timeline.finalize("error")
+        if flight_record:
+            from .obs.ops import uninstall_flight_recorder
+
+            uninstall_flight_recorder()
+
+
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run a two-cell campaign (aging vs healthy control) and report."""
     from .analysis import (
@@ -633,49 +710,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"chaos: sabotaging {len(scheduled)} of {n_units} "
               f"work unit(s) ({args.chaos})")
 
-    # Control plane (all observation, never touches campaign payloads):
-    # flight recorder, resource sampler / self-watch, HTTP status
-    # surface, timeline recorder.
-    recorder = sampler = board = server = timeline = None
-    if args.flight_record:
-        from .obs.ops import FlightRecorder, install_flight_recorder
-
-        recorder = install_flight_recorder(
-            FlightRecorder(path=args.flight_record))
-        print(f"flight recorder armed -> {args.flight_record}")
-    if args.status_port is not None or args.self_watch or args.timeline:
-        from .obs.resources import ResourceSampler
-        from .perf.pool import pool_worker_pids
-
-        sampler = ResourceSampler(worker_pids=pool_worker_pids,
-                                  self_watch=args.self_watch)
-        sampler.start()
-    if args.status_port is not None or args.timeline:
-        from .obs.statusd import StatusBoard
-
-        board = StatusBoard(kind="campaign")
-    if args.timeline:
-        from .obs.timeline import TimelineRecorder
-
-        timeline = TimelineRecorder(
-            args.timeline, interval=args.timeline_every,
-            board=board, resources=sampler)
-        timeline.start()
-        print(f"timeline: recording -> {args.timeline} "
-              f"(every {args.timeline_every:g}s)")
-    if args.status_port is not None:
-        from .obs.statusd import StatusServer
-
-        server = StatusServer(port=args.status_port, board=board,
-                              resources=sampler, timeline=timeline)
-        port = server.start()
-        print(f"status: serving http://127.0.0.1:{port}/status "
-              f"(/metrics, /healthz, /timeline)", flush=True)
-
-    suffix = f" across {workers} workers" if workers > 1 else ""
-    print(f"running {n_runs} runs "
-          f"({args.scenario}/{args.profile}){suffix}...")
-    try:
+    plane = _control_plane(args, kind="campaign", timeline_path=args.timeline)
+    with plane as (board, sampler, timeline):
+        suffix = f" across {workers} workers" if workers > 1 else ""
+        print(f"running {n_runs} runs "
+              f"({args.scenario}/{args.profile}){suffix}...")
         try:
             outcome = execute_campaign(
                 specs, workers=workers, timeout=args.timeout,
@@ -737,20 +776,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             if args.scoreboard:
                 save_scoreboard(scoreboard, args.scoreboard)
                 print(f"scoreboard -> {args.scoreboard}")
-        if sampler is not None and args.self_watch:
-            watch = (sampler.latest() or {}).get("self_watch") or {}
-            state = watch.get("state", "unknown")
-            print(f"self-watch: parent state {state} "
-                  f"({watch.get('n_samples', 0)} RSS samples, "
-                  f"{watch.get('alerts_fired', 0)} alert(s))")
-            args._outcome.update(self_watch=watch)
-        tl_records = None
+        tl_path = None
         if timeline is not None:
+            # The last frame is also the last resource sweep, so the
+            # self-watch digest below covers every sample.
             tl_path = timeline.finalize(outcome.status)
-            tl_records = timeline.records()
             if tl_path:
                 print(f"timeline -> {tl_path} ({timeline.n_frames} frames, "
                       f"{timeline.n_annotations} annotations)")
+        if args.self_watch:
+            watch = sampler.latest()["self_watch"]
+            print(f"self-watch: parent state {watch['state']} "
+                  f"({watch['n_samples']} RSS samples, "
+                  f"{watch['alerts_fired']} alert(s))")
+            args._outcome.update(self_watch=watch)
         costs = None
         if args.costs:
             from .obs import session as obs_session
@@ -776,11 +815,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 args._outcome.update(costs_file=args.costs)
         if args.dashboard:
             from .obs.dashboard import render_campaign_dashboard, write_dashboard
+            from .obs.timeline import read_timeline
 
+            # The artifact, not the recorder's bounded ring: the ring
+            # drops the header once a long campaign overflows it.
             path = write_dashboard(
-                render_campaign_dashboard(cells=args._outcome["cells"],
-                                          scoreboard=scoreboard,
-                                          timeline=tl_records, costs=costs),
+                render_campaign_dashboard(
+                    cells=args._outcome["cells"], scoreboard=scoreboard,
+                    timeline=None if tl_path is None
+                    else read_timeline(tl_path),
+                    costs=costs),
                 args.dashboard,
             )
             print(f"dashboard -> {path}")
@@ -792,17 +836,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         return 0
-    finally:
-        if server is not None:
-            server.stop()
-        if timeline is not None:
-            timeline.finalize("error")  # no-op when already finalized
-        if sampler is not None:
-            sampler.stop()
-        if recorder is not None:
-            from .obs.ops import uninstall_flight_recorder
-
-            uninstall_flight_recorder()
 
 
 # Column order matches repro.analysis.scoreboard.scoreboard_table rows.
@@ -947,13 +980,11 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
                 title=f"run {i} ({m.command}): span tree",
             ))
         if args.metrics and m.metrics:
-            flat = {}
-            for name, snap in m.metrics.items():
-                for key, value in snap.items():
-                    if key != "type" and value is not None:
-                        flat[f"{name}.{key}"] = value
+            from .obs.export import flatten_metrics
+
             print()
-            print(render_kv(flat, title=f"run {i} ({m.command}): metrics"))
+            print(render_kv(flatten_metrics(m.metrics),
+                            title=f"run {i} ({m.command}): metrics"))
     return 0
 
 
@@ -1063,35 +1094,11 @@ def cmd_watch(args: argparse.Namespace) -> int:
             scratch = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-watch-"))
             timeline_path = os.path.join(scratch, "watch.jsonl")
-        board = timeline = None
-        if timeline_path is not None or args.status_port is not None:
-            from .obs.resources import ResourceSampler
-            from .obs.statusd import StatusBoard
-            from .obs.timeline import TimelineRecorder
-
-            board = StatusBoard(kind="watch")
-            board.begin(total_units=0, counter=args.counter)
-            sampler = ResourceSampler()
-            sampler.start()
-            stack.callback(sampler.stop)
-            timeline = TimelineRecorder(
-                timeline_path, interval=args.timeline_every,
-                board=board, resources=sampler)
-            # Safety net for early error returns: finalize() is
-            # idempotent, so the watcher's own finalize wins.
-            stack.callback(lambda: timeline.finalize("error"))
-        if args.timeline is not None:
-            print(f"timeline: recording -> {args.timeline} "
-                  f"(every {args.timeline_every:g}s)")
-        if args.status_port is not None:
-            from .obs.statusd import StatusServer
-
-            server = StatusServer(port=args.status_port, board=board,
-                                  timeline=timeline)
-            port = server.start()
-            stack.callback(server.stop)
-            print(f"status: serving http://127.0.0.1:{port}/status "
-                  f"(/metrics, /healthz, /timeline)", flush=True)
+        # The watcher starts the recorder once the header is filled in.
+        board, _, timeline = stack.enter_context(_control_plane(
+            args, kind="watch", timeline_path=timeline_path,
+            begin={"total_units": 0, "counter": args.counter},
+            start_timeline=False))
 
         def on_status(status: dict) -> None:
             if board is not None:

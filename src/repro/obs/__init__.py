@@ -11,8 +11,8 @@ DESIGN.md).  Seven pieces, composable but independently usable:
   stdlib-logging root, with human and JSON-lines sinks
   (:func:`configure_logging`, :func:`get_logger`).
 * :mod:`repro.obs.metrics` — a name-keyed registry of counters,
-  gauges, histograms (with p50/p90/p99 quantiles) and timers with
-  near-zero cost when disabled.
+  gauges and histograms (with p50/p90/p99 quantiles) with near-zero
+  cost when disabled.
 * :mod:`repro.obs.spans` — nestable ``span(...)`` context managers
   that time pipeline stages and simulation phases.
 * :mod:`repro.obs.manifest` — per-run manifest artifacts
@@ -49,7 +49,8 @@ DESIGN.md).  Seven pieces, composable but independently usable:
   (``/status``, ``/metrics``, ``/healthz``, ``/timeline``) behind
   ``campaign --status-port`` / ``watch --status-port``.
 * :mod:`repro.obs.timeline` — the control plane's historical dimension:
-  the :class:`TimelineRecorder` background sampler writing
+  the :class:`TimelineRecorder` background sampler (the one loop that
+  also drives resource sampling and self-watch) writing
   ``repro.timeline/1`` JSONL artifacts (periodic frames + discrete
   annotations) behind ``campaign --timeline`` / ``watch --timeline``,
   plus the load/validate/slice/summarize/export helpers driving the
@@ -84,7 +85,7 @@ from .logger import (
     get_logger,
     reset_logging,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import SpanCollector, SpanRecord
 from .session import (
     TelemetrySession,
@@ -98,7 +99,6 @@ from .session import (
     span,
     telemetry_enabled,
     telemetry_session,
-    timer,
 )
 from .manifest import (
     EVENTS_FILENAME,
@@ -195,7 +195,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     # spans
     "SpanCollector",
@@ -210,7 +209,6 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "timer",
     "span",
     "record_event",
     # manifests

@@ -6,8 +6,8 @@ Three renderings cover the consumers we care about:
 
 * :func:`manifests_to_prometheus` / :func:`session_to_prometheus` —
   OpenMetrics text (the Prometheus exposition format): one metric
-  family per instrument, counters suffixed ``_total``, histograms and
-  timers rendered as summaries with ``quantile`` labels, stage
+  family per instrument, counters suffixed ``_total``, histograms
+  rendered as summaries with ``quantile`` labels, stage
   durations, event counts and hot-path profile data as labelled
   families, terminated by ``# EOF``.
 * :func:`flatten_metrics` / :func:`manifests_to_json` — a flat
@@ -248,7 +248,7 @@ def _add_metrics_samples(
             writer.sample(name, "gauge", snap["value"], labels=labels)
             if snap.get("max") is not None:
                 writer.sample(f"{name}_max", "gauge", snap["max"], labels=labels)
-        elif kind in ("histogram", "timer"):
+        elif kind == "histogram":
             if not snap.get("count"):
                 continue
             writer.sample(name, "summary", snap["count"],

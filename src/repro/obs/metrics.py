@@ -1,4 +1,4 @@
-"""Lightweight in-process metrics: counters, gauges, histograms, timers.
+"""Lightweight in-process metrics: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` is a name-keyed bag of instruments.  Call
 sites fetch an instrument once (``registry.counter("sim.events")``) and
@@ -16,13 +16,10 @@ Instrument semantics follow the usual conventions:
   min / max / mean) plus approximate quantiles (p50/p90/p99) from a
   bounded, deterministically decimated reservoir — memory is O(cap)
   per instrument, never O(stream).
-* **Timer** — a histogram of wall-clock durations usable as a context
-  manager.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 from ..exceptions import ValidationError
@@ -31,12 +28,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "NULL_TIMER",
 ]
 
 
@@ -203,33 +198,6 @@ class Histogram:
             self._stride *= 2
 
 
-class Timer(Histogram):
-    """Histogram of wall-clock durations, usable as a context manager::
-
-        with registry.timer("analysis.holder"):
-            ...                     # observed in seconds on exit
-    """
-
-    __slots__ = ("_t0",)
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._t0 = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.observe(time.perf_counter() - self._t0)
-        return False
-
-    def snapshot(self) -> dict:
-        out = super().snapshot()
-        out["type"] = "timer"
-        return out
-
-
 class _NullInstrument:
     """Shared no-op stand-in handed out by a disabled registry."""
 
@@ -250,12 +218,6 @@ class _NullInstrument:
     def quantile(self, q: float) -> float:
         return float("nan")
 
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
     def snapshot(self) -> dict:
         return {"type": "null"}
 
@@ -263,7 +225,6 @@ class _NullInstrument:
 NULL_COUNTER = _NullInstrument()
 NULL_GAUGE = _NullInstrument()
 NULL_HISTOGRAM = _NullInstrument()
-NULL_TIMER = _NullInstrument()
 
 
 class MetricsRegistry:
@@ -310,10 +271,6 @@ class MetricsRegistry:
         """Get or create the histogram ``name``."""
         return self._get(name, Histogram, NULL_HISTOGRAM)
 
-    def timer(self, name: str) -> Timer:
-        """Get or create the timer ``name``."""
-        return self._get(name, Timer, NULL_TIMER)
-
     def get(self, name: str) -> Optional[object]:
         """The instrument registered under ``name``, or None."""
         return self._instruments.get(name)
@@ -345,7 +302,7 @@ class MetricsRegistry:
 
         This is how worker-process telemetry survives the pool
         boundary: counters add, gauges keep the later write but the
-        larger max, histograms/timers merge their summaries
+        larger max, histograms merge their summaries
         (:meth:`Histogram.merge_summary`).  A disabled registry ignores
         the merge, matching every other write path.
         """
@@ -363,8 +320,6 @@ class MetricsRegistry:
                     gauge.max_value = float(donor_max)
             elif kind == "histogram":
                 self.histogram(name).merge_summary(state)
-            elif kind == "timer":
-                self.timer(name).merge_summary(state)
             else:
                 raise ValidationError(
                     f"cannot merge metric {name!r} of unknown type {kind!r}"

@@ -10,8 +10,8 @@ same scrutiny.  This module closes the loop:
   (``source="rusage"``); other pids come back as None rather than
   guesses.
 * :class:`ResourceSampler` publishes those numbers for the parent and
-  every live pool worker into the metrics registry on a background
-  thread (``resources.parent.rss_bytes``,
+  every live pool worker into the metrics registry
+  (``resources.parent.rss_bytes``,
   ``resources.worker.<ordinal>.rss_bytes``, …), so a ``/metrics``
   scrape or a run manifest shows the harness's own memory trajectory.
 * ``self_watch=True`` streams the parent's RSS through an
@@ -19,8 +19,10 @@ same scrutiny.  This module closes the loop:
   alert engine (:class:`SelfWatch`): the pipeline watching its *own*
   aging with its *own* detector.
 
-Everything is synchronously drivable (:meth:`ResourceSampler.sample_once`)
-so tests and status endpoints never race a thread they do not control.
+The sampler owns no thread: :meth:`ResourceSampler.sample_once` is
+synchronous, and the control plane's one sampling loop — the
+:class:`~repro.obs.timeline.TimelineRecorder` frame tick — calls it, so
+frames, ``/status`` and self-watch all read the same sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..exceptions import ValidationError
 from .alerts import AlertEngine, AlertFiring, AlertRule
 from .logger import get_logger
 from . import session as _obs
@@ -305,7 +306,7 @@ class SelfWatch:
 
 
 class ResourceSampler:
-    """Background sampler publishing parent + pool-worker resource gauges.
+    """Parent + pool-worker resource gauges, one synchronous sweep at a time.
 
     ``worker_pids`` is a zero-argument callable returning the pids to
     sample besides the parent — pass
@@ -316,15 +317,16 @@ class ResourceSampler:
     ``resources.worker.0.rss_bytes`` stays one worker's series even as
     pools are torn down and rebuilt around it.
 
-    :meth:`start`/:meth:`stop` run :meth:`sample_once` on a daemon
-    thread every ``interval`` seconds; :meth:`sample_once` is public and
-    synchronous so tests and endpoints can drive it deterministically.
+    The cadence belongs to the caller: a
+    :class:`~repro.obs.timeline.TimelineRecorder` given this sampler as
+    ``resources`` calls :meth:`sample_once` once at start and once per
+    frame; :meth:`latest` hands the newest sweep to ``/status`` readers
+    on other threads.
     """
 
     def __init__(
         self,
         *,
-        interval: float = 1.0,
         worker_pids: Optional[Callable[[], Sequence[int]]] = None,
         proc_root: str = "/proc",
         self_watch: bool = False,
@@ -332,25 +334,17 @@ class ResourceSampler:
         self_watch_rules: Optional[Sequence[AlertRule]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if interval <= 0:
-            raise ValidationError(
-                f"sampler interval must be positive, got {interval}")
-        self.interval = float(interval)
         self.proc_root = proc_root
         self._worker_pids = worker_pids
         self._clock = clock
         self._ordinals: Dict[int, int] = {}
         self._latest: Optional[dict] = None
         self._latest_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self.n_samples = 0
         self.self_watch: Optional[SelfWatch] = (
             SelfWatch(monitor=self_watch_monitor, rules=self_watch_rules)
             if self_watch else None
         )
-
-    # -- sampling --------------------------------------------------------------
 
     def _publish(self, role: str, sample: ProcessSample) -> None:
         base = f"resources.{role}"
@@ -402,37 +396,3 @@ class ResourceSampler:
         """Most recent :meth:`sample_once` snapshot (None before the first)."""
         with self._latest_lock:
             return self._latest
-
-    def latest_compact(self) -> Optional[dict]:
-        """:func:`compact_resources` of :meth:`latest` — the per-frame
-        digest the timeline recorder stores."""
-        return compact_resources(self.latest())
-
-    # -- background thread -----------------------------------------------------
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self.sample_once()
-            except Exception as exc:  # pragma: no cover - defensive: a
-                # sampler bug must never take down the campaign it watches
-                _log.warning("resource sample failed",
-                             error=f"{type(exc).__name__}: {exc}")
-            self._stop.wait(self.interval)
-
-    def start(self) -> "ResourceSampler":
-        """Start the daemon sampling thread (idempotent)."""
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resources", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self, *, timeout: float = 5.0) -> None:
-        """Stop and join the sampling thread (no-op when not running)."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None

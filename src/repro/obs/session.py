@@ -24,7 +24,7 @@ import time
 from typing import Dict, List, Optional
 
 from .logger import get_logger
-from .metrics import MetricsRegistry, NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_TIMER
+from .metrics import MetricsRegistry, NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from .profile import Profiler, set_active_profiler
 from .spans import NULL_SPAN, SpanCollector
 
@@ -38,7 +38,6 @@ __all__ = [
     "counter",
     "gauge",
     "histogram",
-    "timer",
     "span",
     "record_event",
 ]
@@ -165,12 +164,6 @@ def histogram(name: str):
     """The current session's histogram ``name`` (null when disabled)."""
     s = _session
     return s.metrics.histogram(name) if s.enabled else NULL_HISTOGRAM
-
-
-def timer(name: str):
-    """The current session's timer ``name`` (null when disabled)."""
-    s = _session
-    return s.metrics.timer(name) if s.enabled else NULL_TIMER
 
 
 def span(name: str, **attrs):

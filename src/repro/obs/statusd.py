@@ -39,6 +39,7 @@ from ..exceptions import ValidationError
 from .export import session_to_prometheus
 from .logger import get_logger
 from . import session as _session
+from .timeline import CONTROL_COUNTER_PREFIXES, TIMELINE_SCHEMA
 
 __all__ = [
     "STATUS_SCHEMA",
@@ -49,12 +50,6 @@ __all__ = [
 STATUS_SCHEMA = "repro.status/1"
 
 _log = get_logger("obs.statusd")
-
-# Counter namespaces surfaced verbatim in /status — the resilience and
-# campaign numbers an operator tails first.  "scoreboard." carries the
-# per-detector tournament gauges published after a grid campaign.
-_STATUS_COUNTER_PREFIXES = ("perf.pool.", "campaign.", "resources.",
-                            "obs.flight_dumps", "scoreboard.")
 
 
 class StatusBoard:
@@ -201,7 +196,7 @@ def _status_counters() -> Dict[str, float]:
         return {}
     out: Dict[str, float] = {}
     for name in list(session.metrics._instruments):
-        if not name.startswith(_STATUS_COUNTER_PREFIXES):
+        if not name.startswith(CONTROL_COUNTER_PREFIXES):
             continue
         instrument = session.metrics.get(name)
         value = getattr(instrument, "value", None)
@@ -302,8 +297,6 @@ class StatusServer:
             return {"schema": None, "records": [],
                     "note": "no timeline recorder attached — run with "
                             "--timeline"}
-        from .timeline import TIMELINE_SCHEMA
-
         return {"schema": TIMELINE_SCHEMA,
                 "records": self.timeline.records()}
 

@@ -5,10 +5,13 @@ module answers "what happened" — how throughput, worker RSS, ETA and
 retries evolved over a campaign — as a versioned append-only JSONL
 artifact (schema ``repro.timeline/1``).
 
-* :class:`TimelineRecorder` — a background daemon thread sampling
-  periodic *frames* (metrics-registry counter totals + deltas, the
-  :class:`~repro.obs.resources.ResourceSampler`'s parent/worker digest,
-  the :class:`~repro.obs.statusd.StatusBoard`'s progress/EWMA-ETA and
+* :class:`TimelineRecorder` — the control plane's one sampling loop: a
+  background daemon thread taking periodic *frames* (metrics-registry
+  counter totals + deltas, a fresh
+  :class:`~repro.obs.resources.ResourceSampler` sweep of parent/worker
+  RSS — which also publishes the ``resources.*`` gauges, feeds
+  self-watch and refreshes ``/status`` — and the
+  :class:`~repro.obs.statusd.StatusBoard`'s progress/EWMA-ETA and
   journal heartbeat) interleaved with discrete *annotations* for
   retries, timeouts, worker deaths, alert firings and flight-record
   dumps (fed by the :func:`repro.obs.ops.flight_note` listener hook —
@@ -46,6 +49,7 @@ from .atomic import atomic_write, fsync_handle
 from .logger import get_logger
 from .metrics import Counter
 from . import ops as _ops
+from .resources import compact_resources
 
 __all__ = [
     "TIMELINE_SCHEMA",
@@ -61,10 +65,12 @@ TIMELINE_SCHEMA = "repro.timeline/1"
 
 _log = get_logger("obs.timeline")
 
-# Counter families worth a per-frame sample — the same whitelist the
-# /status payload uses (library-internal counters like fractal.* cache
-# hits churn far too fast to be timeline signal).
-_FRAME_COUNTER_PREFIXES = (
+# The control plane's counter whitelist, shared by timeline frames and
+# the /status payload: the resilience and campaign numbers an operator
+# tails first ("scoreboard." carries the per-detector tournament gauges
+# published after a grid campaign).  Library-internal counters like
+# fractal.* cache hits churn far too fast to be signal.
+CONTROL_COUNTER_PREFIXES = (
     "perf.pool.",
     "campaign.",
     "resources.",
@@ -93,17 +99,22 @@ class TimelineRecorder:
     """Samples campaign history into a ``repro.timeline/1`` JSONL stream.
 
     ``path`` names the artifact (None records to memory only — the ring
-    still feeds ``/timeline``).  ``board`` and ``resources`` are the
-    live :class:`~repro.obs.statusd.StatusBoard` and
-    :class:`~repro.obs.resources.ResourceSampler` to read each frame;
-    both optional.  ``interval`` is the frame period; ``ring`` bounds
-    the in-memory mirror.  :meth:`sample_once` is public and synchronous
-    so tests and endpoints never race the thread.
+    still feeds ``/timeline``).  ``board`` is the live
+    :class:`~repro.obs.statusd.StatusBoard` each frame reads;
+    ``resources`` the :class:`~repro.obs.resources.ResourceSampler`
+    each frame drives (one ``sample_once`` per frame, stored through
+    :func:`~repro.obs.resources.compact_resources`); both optional.
+    ``interval`` is the frame period, and so the resource-sampling and
+    self-watch cadence; ``ring`` bounds the in-memory mirror.
+    :meth:`sample_once` is public and synchronous so tests and
+    endpoints never race the thread.
 
-    Lifecycle: :meth:`start` writes the header, registers the
-    operational-note listener and starts the daemon thread;
-    :meth:`finalize` takes a last frame, writes the ``end`` record and
-    atomically publishes the artifact.  Usable as a context manager.
+    Lifecycle: :meth:`start` writes the header, takes one resource
+    sample (no frame) so ``/status`` has resources from its first
+    scrape, registers the operational-note listener and starts the
+    daemon thread; :meth:`finalize` takes a last frame, writes the
+    ``end`` record and atomically publishes the artifact.  Usable as a
+    context manager.
     """
 
     def __init__(
@@ -193,7 +204,7 @@ class TimelineRecorder:
         # counter values is lock-free (ints are atomic under the GIL).
         for name, instrument in list(
                 getattr(session.metrics, "_instruments", {}).items()):
-            if not name.startswith(_FRAME_COUNTER_PREFIXES):
+            if not name.startswith(CONTROL_COUNTER_PREFIXES):
                 continue
             if isinstance(instrument, Counter):
                 totals[name] = instrument.value
@@ -214,7 +225,7 @@ class TimelineRecorder:
             progress = {key: snap.get(key) for key in _PROGRESS_KEYS}
         resources = None
         if self.resources is not None:
-            resources = self.resources.latest_compact()
+            resources = compact_resources(self.resources.sample_once())
         frame = self._emit("frame", {
             "counters": totals,
             "deltas": deltas,
@@ -270,7 +281,8 @@ class TimelineRecorder:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "TimelineRecorder":
-        """Write the header, hook operational notes, start the thread."""
+        """Write the header, sample resources once, hook operational
+        notes, start the thread."""
         if self._started:
             return self
         self._started = True
@@ -290,6 +302,8 @@ class TimelineRecorder:
         }
         with self._lock:
             self._append(header)
+        if self.resources is not None:
+            self.resources.sample_once()
         _ops.add_note_listener(self._on_note)
         self._stop.clear()
         self._thread = threading.Thread(

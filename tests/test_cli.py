@@ -746,6 +746,60 @@ class TestCampaignTimelineFlag:
         assert sum(shares) == pytest.approx(1.0)
         assert "Cost attribution" in out or "cost" in out.lower()
 
+    def test_timeline_frames_are_the_only_sampling_loop(
+            self, tmp_path, capsys, monkeypatch):
+        """With the whole control plane on, resources are swept once at
+        recorder start and once per frame — on the recorder's thread, or
+        on the main thread for the start sweep and the final frame — and
+        no sampler thread of its own exists."""
+        import threading
+
+        from repro.obs.resources import ResourceSampler
+        from repro.obs.timeline import read_timeline
+
+        sweeps = []
+        sweep = ResourceSampler.sample_once
+
+        def traced_sweep(self):
+            sweeps.append((threading.current_thread().name,
+                           {t.name for t in threading.enumerate()}))
+            return sweep(self)
+
+        monkeypatch.setattr(ResourceSampler, "sample_once", traced_sweep)
+        tl = tmp_path / "tl.jsonl"
+        assert main(["campaign", "--runs", "1", "--max-seconds", "5000",
+                     "--workers", "2", "--status-port", "0",
+                     "--timeline", str(tl), "--timeline-every", "0.05",
+                     "--self-watch"]) == 0
+        out = capsys.readouterr().out
+        threads = [name for name, _ in sweeps]
+        assert set(threads) == {"MainThread", "repro-timeline"}
+        assert threads.count("MainThread") == 2
+        assert threads[0] == threads[-1] == "MainThread"
+        assert not any("repro-resources" in alive for _, alive in sweeps)
+        frames = [r for r in read_timeline(tl) if r["kind"] == "frame"]
+        assert len(sweeps) == len(frames) + 1
+        assert f"({len(sweeps)} RSS samples, 0 alert(s))" in out
+
+    def test_dashboard_survives_ring_overflow(self, tmp_path, capsys,
+                                              monkeypatch):
+        """The campaign dashboard's timeline panels come from the
+        artifact: once the recorder's bounded ring has dropped the
+        header, rendering from the ring would fail validation."""
+        import functools
+
+        from repro.obs import timeline as timeline_mod
+
+        monkeypatch.setattr(timeline_mod, "TimelineRecorder", functools.partial(
+            timeline_mod.TimelineRecorder, ring=8))
+        tl, dash = tmp_path / "tl.jsonl", tmp_path / "dash.html"
+        assert main(["campaign", "--runs", "1", "--max-seconds", "5000",
+                     "--workers", "1", "--timeline", str(tl),
+                     "--timeline-every", "0.02",
+                     "--dashboard", str(dash)]) == 0
+        assert len(timeline_mod.read_timeline(tl)) > 8  # the ring overflowed
+        assert "Campaign timeline" in dash.read_text()
+
 
 class TestChaosCampaignCli:
     """A chaos-injected, fully instrumented vector campaign through the

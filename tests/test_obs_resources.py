@@ -3,13 +3,10 @@
 worker ordinal assignment, and the self-watch detector loop."""
 
 import os
-import threading
-import time
 
 import pytest
 
 from repro import obs
-from repro.exceptions import ValidationError
 from repro.obs.resources import (
     DEFAULT_SELF_WATCH_RULES,
     ProcessSample,
@@ -99,10 +96,6 @@ class TestSampleProcess:
 
 
 class TestResourceSampler:
-    def test_interval_validated(self):
-        with pytest.raises(ValidationError, match="interval"):
-            ResourceSampler(interval=0)
-
     def test_sample_once_publishes_gauges(self):
         session = obs.enable_telemetry()
         sampler = ResourceSampler()
@@ -136,19 +129,6 @@ class TestResourceSampler:
         page = os.sysconf("SC_PAGE_SIZE") or 4096
         assert metrics["resources.worker.1.rss_bytes"]["value"] == 200 * page
         assert metrics["resources.worker.1.pid"]["value"] == 222
-
-    def test_thread_lifecycle(self):
-        sampler = ResourceSampler(interval=0.05)
-        sampler.start()
-        sampler.start()  # idempotent
-        deadline = time.time() + 5.0
-        while sampler.latest() is None and time.time() < deadline:
-            time.sleep(0.01)
-        assert sampler.latest() is not None
-        sampler.stop()
-        sampler.stop()  # idempotent
-        assert "repro-resources" not in {
-            t.name for t in threading.enumerate()}
 
 
 class TestSelfWatch:

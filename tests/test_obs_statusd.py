@@ -15,8 +15,9 @@ from repro import obs
 from repro.analysis import cells_payload, execute_campaign
 from repro.analysis.campaign import ExperimentSpec
 from repro.exceptions import ValidationError
-from repro.obs.resources import ResourceSampler
+from repro.obs.resources import ResourceSampler, compact_resources
 from repro.obs.statusd import STATUS_SCHEMA, StatusBoard, StatusServer
+from repro.obs.timeline import TimelineRecorder
 from repro.perf.pool import pool_worker_pids
 
 
@@ -254,9 +255,11 @@ class TestCampaignControlPlane:
         recorder = obs.install_flight_recorder(
             obs.FlightRecorder(path=tmp_path / "flight.json"))
         board = StatusBoard()
-        sampler = ResourceSampler(
-            interval=0.2, worker_pids=pool_worker_pids).start()
-        server = StatusServer(board=board, resources=sampler)
+        sampler = ResourceSampler(worker_pids=pool_worker_pids)
+        timeline = TimelineRecorder(interval=0.2, board=board,
+                                    resources=sampler).start()
+        server = StatusServer(board=board, resources=sampler,
+                              timeline=timeline)
         port = server.start()
 
         stop = threading.Event()
@@ -279,12 +282,13 @@ class TestCampaignControlPlane:
         client = threading.Thread(target=scrape)
         client.start()
         try:
-            outcome = execute_campaign(specs, workers=2, status=board)
+            outcome = execute_campaign(specs, workers=2, status=board,
+                                       timeline=timeline)
         finally:
             stop.set()
             client.join(timeout=30)
             server.stop()
-            sampler.stop()
+            timeline.finalize()
 
         assert not errors
         assert outcome.complete
@@ -313,6 +317,11 @@ class TestCampaignControlPlane:
         assert session.trace_id is not None
         assert final["counters"]["campaign.runs_completed"] == 4.0
         assert final["resources"]["parent"]["rss_bytes"] > 0
+        # /status serves the sweep the recorder's last frame took.
+        last_frame = [r for r in timeline.records()
+                      if r["kind"] == "frame"][-1]
+        assert last_frame["resources"] == compact_resources(
+            final["resources"])
 
         # The recorder saw unit outcomes; a clean run dumps nothing.
         assert any(r["kind"] == "unit" for r in recorder.records())
@@ -321,7 +330,7 @@ class TestCampaignControlPlane:
         # Clean shutdown: no control-plane threads survive.
         names = {t.name for t in threading.enumerate()}
         assert "repro-statusd" not in names
-        assert "repro-resources" not in names
+        assert "repro-timeline" not in names
 
     def test_resume_surfaces_last_progress(self, tmp_path):
         specs = [ExperimentSpec(name="quick", scenario="stress", n_runs=1,

@@ -6,6 +6,7 @@ observation-only guarantee."""
 
 import csv
 import io
+import itertools
 import json
 import sys
 import threading
@@ -18,7 +19,7 @@ from repro.analysis import cells_payload, execute_campaign
 from repro.analysis.campaign import ExperimentSpec
 from repro.exceptions import ValidationError
 from repro.obs.ops import flight_dump, flight_note
-from repro.obs.resources import compact_resources
+from repro.obs.resources import ResourceSampler, compact_resources
 from repro.obs.statusd import StatusBoard, StatusServer
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,
@@ -59,17 +60,18 @@ def make_recorder(path=None, *, clock=None, **kwargs):
 
 
 class StubResources:
-    """Stands in for ResourceSampler.latest_compact()."""
+    """Stands in for ResourceSampler.sample_once()."""
 
     def __init__(self):
-        self.compact = {
-            "parent_rss_bytes": 1000, "parent_cpu_seconds": 1.0,
-            "workers": [{"ordinal": 0, "rss_bytes": 500,
+        self.snapshot = {
+            "parent": {"pid": 1, "rss_bytes": 1000, "cpu_seconds": 1.0},
+            "workers": [{"ordinal": 0, "pid": 2, "rss_bytes": 500,
                          "cpu_seconds": 0.5}],
+            "self_watch": None,
         }
 
-    def latest_compact(self):
-        return dict(self.compact)
+    def sample_once(self):
+        return json.loads(json.dumps(self.snapshot))
 
 
 class TestTimelineRecorder:
@@ -160,14 +162,13 @@ class TestTimelineRecorder:
 
     def test_self_watch_alert_becomes_annotation(self):
         stub = StubResources()
-        stub.compact["self_watch_alerts"] = 0
-        stub.compact["self_watch_state"] = "watching"
+        stub.snapshot["self_watch"] = {"state": "watching",
+                                       "alerts_fired": 0}
         recorder, clock = make_recorder(None, resources=stub)
         recorder.start()
         clock.tick(1.0)
         recorder.sample_once()
-        stub.compact["self_watch_alerts"] = 2
-        stub.compact["self_watch_state"] = "warning"
+        stub.snapshot["self_watch"] = {"state": "warning", "alerts_fired": 2}
         clock.tick(1.0)
         recorder.sample_once()
         clock.tick(1.0)
@@ -178,6 +179,46 @@ class TestTimelineRecorder:
         assert len(alerts) == 1
         assert alerts[0]["count"] == 2
         assert alerts[0]["state"] == "warning"
+
+    def test_each_frame_is_one_resource_sweep(self):
+        """start() sweeps once without writing a frame; each frame,
+        finalize()'s last one included, is exactly one more sweep; and
+        frames, /status and self-watch all read those same sweeps."""
+        # A strictly increasing clock, so self-watch keeps every sweep.
+        ticks = itertools.count(1)
+        sampler = ResourceSampler(self_watch=True,
+                                  clock=lambda: float(next(ticks)))
+        sweeps = []
+        sweep = sampler.sample_once
+
+        def counted_sweep():
+            sweeps.append(sweep())
+            return sweeps[-1]
+
+        sampler.sample_once = counted_sweep
+        recorder, clock = make_recorder(None, resources=sampler)
+        server = StatusServer(board=StatusBoard(), resources=sampler)
+
+        recorder.start()
+        assert len(sweeps) == 1
+        assert [r["kind"] for r in recorder.records()] == ["header"]
+        assert server.status_payload()["resources"] is sweeps[0]
+        for n in range(2, 5):
+            clock.tick(1.0)
+            frame = recorder.sample_once()
+            assert len(sweeps) == n
+            assert frame["resources"] == compact_resources(sweeps[-1])
+            assert server.status_payload()["resources"] is sweeps[-1]
+        recorder.finalize()
+
+        frames = [r for r in recorder.records() if r["kind"] == "frame"]
+        assert len(sweeps) == 1 + len(frames) == 5
+        assert ([frame["resources"] for frame in frames]
+                == [compact_resources(s) for s in sweeps[1:]])
+        assert server.status_payload()["resources"] is sweeps[-1]
+        assert ([s["self_watch"]["n_samples"] for s in sweeps]
+                == [1, 2, 3, 4, 5])
+        assert sampler.n_samples == sampler.self_watch.monitor.n_samples == 5
 
     def test_time_forced_monotone(self):
         recorder, clock = make_recorder(None)
