@@ -118,6 +118,7 @@ class TrendExhaustionDetector:
         check_in_range(self.alpha, name="alpha", low=0.0, high=1.0,
                        inclusive_low=False, inclusive_high=False)
         check_positive_int(self.min_samples, name="min_samples", minimum=8)
+        self._memo = None
 
     def run(self, ts: TimeSeries) -> TrendAlarm:
         """Scan the series; return the first within-horizon prediction."""
@@ -143,8 +144,9 @@ class TrendExhaustionDetector:
         (exhaustion - now)`` when the trend is significantly decreasing
         and the extrapolation predicts future exhaustion (0 otherwise, and
         capped at 1e6 when the prediction is already past) — so the
-        configured alarm sits at score 1.  Observation-only: :meth:`run`
-        is untouched.
+        configured alarm sits at score 1.  It reads the same window fits
+        as :meth:`run`, so calling both on one series fits each window
+        once.
         """
         out_t: list[float] = []
         out_s: list[float] = []
@@ -161,19 +163,34 @@ class TrendExhaustionDetector:
     def _scan(self, ts: TimeSeries):
         """Yield ``(now, fit)`` at every prediction step; ``fit`` is
         :meth:`_predict`'s result, None for windows short of
-        ``min_samples``."""
-        clean = ts.dropna()
-        if len(clean) < self.min_samples:
-            raise AnalysisError(
-                f"series {ts.name!r} has {len(clean)} samples; "
-                f"need >= {self.min_samples}"
-            )
-        now = clean.times[0] + self.window_seconds
+        ``min_samples``.
+
+        Fits are made lazily and kept for the last series scanned (``ts``
+        is immutable), so a second scan of it replays them, and an early
+        stop in :meth:`run` fits no window past the alarm.  A window
+        whose fit raises is not kept, so every later scan raises again.
+        """
+        params = (self.window_seconds, self.step_seconds, self.floor,
+                  self.alpha, self.min_samples)
+        if (self._memo is None or self._memo[0] is not ts
+                or self._memo[1] != params):
+            clean = ts.dropna()
+            if len(clean) < self.min_samples:
+                raise AnalysisError(
+                    f"series {ts.name!r} has {len(clean)} samples; "
+                    f"need >= {self.min_samples}"
+                )
+            self._memo = (ts, params, clean, [])
+        __, __, clean, done = self._memo
+        yield from done
+        now = (done[-1][0] + self.step_seconds if done
+               else clean.times[0] + self.window_seconds)
         t_end = clean.times[-1]
         while now <= t_end:
             window = clean.slice_time(now - self.window_seconds, now + 1e-9)
-            yield now, (self._predict(window)
-                        if len(window) >= self.min_samples else None)
+            done.append((now, self._predict(window)
+                         if len(window) >= self.min_samples else None))
+            yield done[-1]
             now += self.step_seconds
 
     def _predict(self, window: TimeSeries) -> Optional[tuple[float, float]]:

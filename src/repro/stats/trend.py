@@ -18,7 +18,8 @@ from scipy.special import ndtr
 from .._validation import as_1d_float_array
 from ..exceptions import AnalysisError
 
-_MAX_EXACT_N = 3000  # O(n^2) pair enumeration above this gets slow; subsample.
+#: Longer series are tested on an evenly spaced subsample of this many points.
+_MAX_EXACT_N = 3000
 
 
 @dataclass(frozen=True)
@@ -48,26 +49,25 @@ class MannKendallResult:
 def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
     """Two-sided Mann–Kendall test for monotone trend.
 
-    Uses the exact O(n^2) S statistic for series up to a few thousand
-    samples and an evenly-spaced subsample above that (the test is then
-    approximate but remains consistent for monotone alternatives).
+    S is counted exactly over every pair in O(n log^2 n) time and O(n)
+    memory (:func:`_pair_sign_sum`).  Series longer than
+    ``_MAX_EXACT_N`` are tested on an evenly spaced subsample of that
+    many points (the test is then approximate but remains consistent for
+    monotone alternatives).
     """
     x = as_1d_float_array(values, name="values", min_length=4)
     if x.size > _MAX_EXACT_N:
         idx = np.linspace(0, x.size - 1, _MAX_EXACT_N).astype(int)
         x = x[idx]
     n = x.size
-
-    # S = sum over i<j of sign(x_j - x_i), vectorised via broadcasting.
-    diffs = np.sign(x[None, :] - x[:, None])
-    s = float(np.sum(np.triu(diffs, k=1)))
+    __, ranks, counts = np.unique(x, return_inverse=True, return_counts=True)
 
     # Variance with tie correction.
-    __, counts = np.unique(x, return_counts=True)
     tie_term = float(np.sum(counts * (counts - 1) * (2 * counts + 5)))
     var_s = (n * (n - 1) * (2 * n + 5) - tie_term) / 18.0
     if var_s <= 0:
         raise AnalysisError("Mann-Kendall variance is zero (constant series?)")
+    s = float(_pair_sign_sum(ranks, counts.size))
 
     if s > 0:
         z = (s - 1) / np.sqrt(var_s)
@@ -84,12 +84,42 @@ def mann_kendall(values, alpha: float = 0.05) -> MannKendallResult:
     return MannKendallResult(s=s, z=float(z), p_value=p_value, trend=trend)
 
 
+def _pair_sign_sum(ranks: np.ndarray, n_ranks: int) -> int:
+    """``sum(sign(ranks[j] - ranks[i]) for i < j)``, exactly.
+
+    A bottom-up merge count: at block width ``w`` every element of an
+    odd-numbered block is compared with the whole of the block before it
+    (which is full), so each pair ``i < j`` is counted at exactly one
+    width.  Sorting ``block * n_ranks + rank`` lays every block out in
+    rank order, and two ``searchsorted`` probes per width count the
+    earlier block's smaller and larger ranks for all elements at once.
+    """
+    n = ranks.size
+    position = np.arange(n)
+    total = 0
+    width = 1
+    while width < n:
+        block = position // width
+        block_keys = block * n_ranks + ranks
+        ordered = np.sort(block_keys)
+        later = block % 2 == 1
+        probe = block_keys[later] - n_ranks  # same rank, previous block
+        start = (block[later] - 1) * width   # previous block's first slot
+        smaller = np.searchsorted(ordered, probe, side="left") - start
+        not_larger = np.searchsorted(ordered, probe, side="right") - start
+        total += int(np.sum(smaller)) - int(np.sum(width - not_larger))
+        width *= 2
+    return total
+
+
 def sen_slope(times, values, max_pairs: int = 250_000) -> float:
     """Sen's (Theil–Sen) slope: the median of all pairwise slopes.
 
     Robust to outliers and to the bursty noise that dominates memory
-    counters.  For long series the full O(n^2) pair set is subsampled
-    deterministically down to at most ``max_pairs`` pairs.
+    counters.  When the series has more than ``max_pairs`` pairs, the
+    median is taken over ``max_pairs`` index pairs drawn uniformly with a
+    fixed seed instead (so repeat calls agree), keeping only the drawn
+    pairs with ``i < j`` -- about half of them.
     """
     t = as_1d_float_array(times, name="times", min_length=2)
     x = as_1d_float_array(values, name="values", min_length=2)
@@ -100,7 +130,7 @@ def sen_slope(times, values, max_pairs: int = 250_000) -> float:
     if n * (n - 1) // 2 <= max_pairs:
         i, j = np.triu_indices(n, k=1)
     else:
-        # Deterministic low-discrepancy subsample of the pair lattice.
+        # Seeded pseudo-random pair draw; pairs with i >= j are dropped.
         rng = np.random.default_rng(12345)
         i = rng.integers(0, n - 1, size=max_pairs)
         j = rng.integers(1, n, size=max_pairs)

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+import repro.baselines.trend as trend_module
+from repro.analysis import ExperimentSpec, evaluate_detector
+from repro.analysis.detector_registry import split_peak_scores
 from repro.baselines import RawThresholdDetector, TrendExhaustionDetector, predict_exhaustion_time
 from repro.core import AgingReport, analyze_counter, analyze_run
 from repro.core.detectors import DetectorConfig
 from repro.core.holder import wavelet_holder
 from repro.exceptions import AnalysisError
+from repro.stats import mann_kendall, sen_slope
 from repro.trace import TimeSeries
 
 
@@ -214,6 +218,165 @@ class TestTrendAlarmSemantics:
         assert clean_alarm.fired
         assert not bump_alarm.fired or (
             bump_alarm.alarm_time > clean_alarm.alarm_time)
+
+
+def _reference_steps(det, ts):
+    """``(now, fit)`` per prediction step with every window fitted from
+    scratch: the scan ``run`` and ``decision_scores`` each made before
+    they shared fits."""
+    clean = ts.dropna()
+    steps = []
+    now = clean.times[0] + det.window_seconds
+    while now <= clean.times[-1]:
+        window = clean.slice_time(now - det.window_seconds, now + 1e-9)
+        fit = None
+        if (len(window) >= det.min_samples
+                and mann_kendall(window.values,
+                                 alpha=det.alpha).trend == "decreasing"):
+            slope = sen_slope(window.times, window.values)
+            if slope < 0:
+                fit = (predict_exhaustion_time(window.times, window.values,
+                                               floor=det.floor), slope)
+        steps.append((now, fit))
+        now += det.step_seconds
+    return steps
+
+
+def _reference_alarm(det, steps):
+    """``(alarm_time, predicted_exhaustion, slope)`` of the first step
+    within the horizon, or None."""
+    for now, fit in steps:
+        if fit is not None and fit[0] - now <= det.horizon_seconds:
+            return now, fit[0], fit[1]
+    return None
+
+
+def _reference_scores(det, steps):
+    scores = [0.0 if fit is None
+              else (1e6 if fit[0] - now <= 0
+                    else min(det.horizon_seconds / (fit[0] - now), 1e6))
+              for now, fit in steps]
+    return np.asarray([now for now, __ in steps]), np.asarray(scores)
+
+
+def _window_ends(det, ts):
+    """Prediction times whose window holds ``min_samples`` samples."""
+    clean = ts.dropna()
+    now = clean.times[0] + det.window_seconds
+    while now <= clean.times[-1]:
+        if len(clean.slice_time(now - det.window_seconds,
+                                now + 1e-9)) >= det.min_samples:
+            yield now
+        now += det.step_seconds
+
+
+def _noisy_decline():
+    # A decline with a rebound and noise: some windows are significant
+    # and some are not, so the scan mixes fits and Nones.
+    rng = np.random.default_rng(11)
+    t = np.arange(0.0, 9_500.0, 10.0)
+    v = 10_000.0 - t + rng.normal(0.0, 400.0, size=t.size)
+    rebound = (t >= 5_000.0) & (t < 6_000.0)
+    v[rebound] += 2.0 * (t[rebound] - 5_000.0)
+    return TimeSeries(times=t, values=v, name="AvailableBytes")
+
+
+class TestTrendSingleScan:
+    """``run`` and ``decision_scores`` share one fit per window."""
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+
+        def counting(values, alpha=0.05):
+            calls.append(len(values))
+            return mann_kendall(values, alpha=alpha)
+
+        monkeypatch.setattr(trend_module, "mann_kendall", counting)
+        return calls
+
+    def test_evaluate_fits_each_full_window_once(self, nt4_run, monkeypatch):
+        ts = nt4_run.bundle["AvailableBytes"]
+        det = TrendExhaustionDetector()
+        steps = _reference_steps(det, ts)
+        calls = self._count_fits(monkeypatch)
+        evaluation = evaluate_detector("trend", nt4_run.bundle,
+                                       ExperimentSpec(name="x", n_runs=1))
+        assert len(calls) == len(list(_window_ends(det, ts)))
+        alarm = _reference_alarm(det, steps)
+        assert alarm is not None
+        assert evaluation.alarm_time == alarm[0]
+        times, scores = _reference_scores(det, steps)
+        assert (evaluation.peak_healthy, evaluation.peak_precrash) == \
+            split_peak_scores(times, scores, crash_time=nt4_run.crash_time)
+
+    def test_alarm_only_evaluation_stops_at_the_alarm(self, nt4_run,
+                                                      monkeypatch):
+        ts = nt4_run.bundle["AvailableBytes"]
+        det = TrendExhaustionDetector()
+        alarm = _reference_alarm(det, _reference_steps(det, ts))
+        calls = self._count_fits(monkeypatch)
+        evaluation = evaluate_detector("trend", nt4_run.bundle,
+                                       ExperimentSpec(name="x", n_runs=1),
+                                       collect_scores=False)
+        assert evaluation.alarm_time == alarm[0]
+        assert len(calls) == sum(1 for now in _window_ends(det, ts)
+                                 if now <= alarm[0])
+
+    @pytest.mark.parametrize("make_series", [_linear_decline, _noisy_decline])
+    @pytest.mark.parametrize("order", [
+        ("run",), ("scores",), ("run", "scores"), ("scores", "run"),
+        ("run", "run", "scores", "scores"),
+    ])
+    def test_any_call_order_matches_two_scans(self, make_series, order):
+        ts = make_series()
+        det = TrendExhaustionDetector(window_seconds=1000.0,
+                                      step_seconds=100.0,
+                                      horizon_seconds=2000.0)
+        steps = _reference_steps(det, ts)
+        want_alarm = _reference_alarm(det, steps)
+        want_t, want_s = _reference_scores(det, steps)
+        for call in order:
+            if call == "run":
+                alarm = det.run(ts)
+                got = (None if not alarm.fired else
+                       (alarm.alarm_time, alarm.predicted_exhaustion,
+                        alarm.slope_at_alarm))
+                assert got == want_alarm
+            else:
+                times, scores = det.decision_scores(ts)
+                np.testing.assert_array_equal(times, want_t)
+                np.testing.assert_array_equal(scores, want_s)
+
+    def test_changed_parameters_refit(self):
+        ts = _noisy_decline()
+        det = TrendExhaustionDetector(window_seconds=1000.0,
+                                      step_seconds=100.0,
+                                      horizon_seconds=2000.0)
+        det.decision_scores(ts)
+        det.window_seconds = 2000.0
+        fresh = TrendExhaustionDetector(window_seconds=2000.0,
+                                        step_seconds=100.0,
+                                        horizon_seconds=2000.0)
+        for got, want in zip(det.decision_scores(ts),
+                             fresh.decision_scores(ts)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_failing_window_raises_on_every_scan(self):
+        # Declines to t=6000, then flat: windows wholly in the flat part
+        # have no Mann-Kendall variance.  The alarm (t=5000) comes before
+        # them, so run returns it; a full scan raises each time.
+        t = np.arange(0.0, 8_000.0, 10.0)
+        v = 10_000.0 - np.minimum(t, 6_000.0)
+        ts = TimeSeries(times=t, values=v, name="AvailableBytes")
+        det = TrendExhaustionDetector(window_seconds=1000.0,
+                                      step_seconds=100.0,
+                                      horizon_seconds=5000.0)
+        assert det.run(ts).alarm_time == pytest.approx(5000.0)
+        for __ in range(2):
+            with pytest.raises(AnalysisError):
+                det.decision_scores(ts)
+        assert det.run(ts).alarm_time == pytest.approx(5000.0)
 
 
 class TestNaiveAlarmSemantics:
