@@ -230,6 +230,12 @@ class VectorFleet:
         self._host_ticks = 0
         self._pool_next = _POOL_DRIP_PERIOD
 
+        # Per-tick draws, one block of ticks at a time (see _draws).
+        self._strides = self._stream_strides()
+        self._block_ticks = self._rng.block_ticks(sum(self._strides.values()))
+        self._blk: Dict[str, np.ndarray] = {}
+        self._blk_lo = self._blk_hi = 0
+
         # Precompute fault/workload scalars.
         self._leak_frac = f.heap_leak_fraction
         self._pool_rate = f.pool_leak_rate
@@ -247,6 +253,84 @@ class VectorFleet:
                     "preload exceeds memory; workload steady state does not fit "
                     "this machine configuration"
                 )
+
+    # -- per-tick draws -------------------------------------------------------
+
+    def _stream_strides(self) -> Dict[str, int]:
+        """Counters per tick of each per-tick stream this fleet draws: lane
+        ``j`` of tick ``k`` on stream ``s`` is counter ``k * stride + j``.
+        Streams the configuration never reads are left out."""
+        S = self._S
+        f = self.config.faults
+        strides = {"onoff": S, "burst": 3 * S, "hold": S, "sess": 8, "thrash": 2}
+        if f.pool_leak_rate > 0:
+            strides["pool"] = 2
+        if f.fragmentation_rate > 0:
+            strides["frag"] = 1
+        if f.heap_leak_fraction > 0:
+            strides["leak"] = 4
+        if self._batch is not None:
+            strides["batch"] = 4
+        if self._collect and self.config.sample_drop_probability > 0:
+            strides["sampler"] = 8
+        return strides
+
+    def _draws(self, k: int) -> Tuple[Dict[str, np.ndarray], int]:
+        """The block of draws holding tick ``k``, and ``k``'s column in it.
+
+        A block spans up to ``self._block_ticks`` ticks from ``k`` (never
+        past the time budget) and holds each stream after every transform
+        that depends only on the draw and run constants.  Draws are pure
+        functions of the tick, so a block outlives ``advance`` calls and
+        rejuvenation, and is bit-identical to drawing tick by tick.
+        """
+        if not self._blk_lo <= k < self._blk_hi:
+            self._fill_block(k, max(1, min(self._block_ticks, self._T + 1 - k)))
+        return self._blk, k - self._blk_lo
+
+    def _fill_block(self, k: int, nt: int) -> None:
+        w = self.config.workload
+        S, B, dt = self._S, self._B, self.dt
+        st = self._strides
+
+        def draw(stream: str) -> np.ndarray:
+            return self._rng.block(stream, k, nt, st[stream])
+
+        def offsets(delay: np.ndarray) -> np.ndarray:
+            return np.clip(np.rint(delay / dt).astype(np.int64), 1, B - 1)
+
+        blk: Dict[str, np.ndarray] = {}
+        # Pareto phase lengths of unit mean; the tick scales by the phase.
+        blk["onoff"] = batch_rng.pareto_duration(draw("onoff"), w.pareto_shape, 1.0)
+        u = draw("burst")
+        blk["burst"] = np.maximum(batch_rng.poisson(
+            w.on_rate_pages * dt, u[..., :S],
+            batch_rng.box_muller(u[..., S:2 * S], u[..., 2 * S:])), 1)
+        blk["hold"] = offsets(batch_rng.exponential(draw("hold"), w.hold_time))
+        u = draw("sess")
+        blk["sess_u"] = u[..., 0]
+        pages = np.maximum(np.floor(batch_rng.lognormal(
+            batch_rng.box_muller(u[..., 4], u[..., 5]), self._sess_mu, 1.0)), 8.0)
+        blk["sess_pages"] = pages.astype(np.int64)
+        life = batch_rng.exponential(u[..., 1], w.session_lifetime)
+        blk["sess_life"] = offsets(life)
+        blk["sess_touch"] = offsets(life * (0.2 + 0.6 * u[..., 2]))
+        blk["thrash"] = draw("thrash")
+        if "pool" in st:
+            u = draw("pool")
+            blk["pool"] = batch_rng.box_muller(u[..., 0], u[..., 1])
+        if "frag" in st:
+            blk["frag"] = draw("frag")[..., 0]
+        if "leak" in st:
+            u = draw("leak")
+            blk["leak_u"] = u[..., 0]
+            blk["leak_z"] = batch_rng.box_muller(u[..., 1], u[..., 2])
+        if "batch" in st:
+            blk["batch"] = draw("batch")
+        if "sampler" in st:
+            blk["sampler"] = (draw("sampler")[..., :len(COUNTER_NAMES)]
+                              < self.config.sample_drop_probability)
+        self._blk, self._blk_lo, self._blk_hi = blk, k, k + nt
 
     # -- derived quantities (vectorised MemoryManager views) ---------------
 
@@ -284,7 +368,7 @@ class VectorFleet:
         avail = self._available()
         shortfall = pages - avail
         need = shortfall > 0
-        if np.any(need):
+        if need.any():
             moved = self._page_out(np.where(need, shortfall, 0))
             avail2 = self._available()
             pages = np.where(
@@ -314,7 +398,7 @@ class VectorFleet:
         self.pinned += pages
         deficit = self.pinned - self.resident
         need = deficit > 0
-        if np.any(need):
+        if need.any():
             self._touch_in(np.where(need, deficit, 0))
             deficit = np.maximum(self.pinned - self.resident, 0)
             moved = np.minimum(deficit, self.pagefile)
@@ -325,7 +409,7 @@ class VectorFleet:
     def _maybe_trim(self) -> None:
         frac = self._available() / self.total_pages
         low = frac < self.config.trim_threshold
-        if np.any(low):
+        if low.any():
             target = (self.resident * self.config.trim_aggressiveness).astype(np.int64)
             self._page_out(np.where(low, target, 0))
 
@@ -333,10 +417,11 @@ class VectorFleet:
         frac = self._available() / self.total_pages
         threshold = self.config.thrash_threshold
         hot = (frac < threshold) & (alloc_pages > 0) & self.active
-        if not np.any(hot):
+        if not hot.any():
             return
         severity = np.where(hot, (threshold - frac) / threshold, 0.0)
-        u = self._rng.uniforms("thrash", k * 2, lanes=2)
+        blk, j = self._draws(k)
+        u = blk["thrash"][:, j]
         p = np.maximum(0.02, 1.0 - 0.9 * severity)
         burst = batch_rng.geometric(u[:, 0], p)
         churn = (alloc_pages * severity * burst).astype(np.int64)
@@ -363,7 +448,7 @@ class VectorFleet:
         shortfall = grant - avail
         need = shortfall > 0
         mem_fail = np.zeros_like(commit_fail)
-        if np.any(need):
+        if need.any():
             moved = self._page_out(np.where(need, shortfall, 0))
             mem_fail = need & (moved < shortfall)
             grant = np.where(
@@ -372,7 +457,7 @@ class VectorFleet:
         self.cum_allocated += grant
         self.cum_faults += grant
         failed = (commit_fail | mem_fail) & self.active
-        if np.any(failed):
+        if failed.any():
             self.cum_alloc_failures += failed
             reason = np.where(commit_fail, np.int8(1), np.int8(2))
             self._note_failure(failed, reason)
@@ -382,7 +467,7 @@ class VectorFleet:
 
     def _note_failure(self, failed: np.ndarray, reason: np.ndarray) -> None:
         fresh = failed & np.isnan(self.first_failure) & self.active
-        if np.any(fresh):
+        if fresh.any():
             self.first_failure = np.where(fresh, self._now, self.first_failure)
             self.crash_reason = np.where(fresh, reason, self.crash_reason)
 
@@ -400,7 +485,7 @@ class VectorFleet:
         else:
             mask[hosts] = True
         mask &= self.active
-        if not np.any(mask):
+        if not mask.any():
             return
         self.resident = np.where(mask, 0, self.resident)
         self.pagefile = np.where(mask, 0, self.pagefile)
@@ -438,7 +523,7 @@ class VectorFleet:
             # tick crash now (the object model's priority -10 crash event
             # fires before any same-time work, so no ops or samples here).
             doomed = self.active & (self.first_failure + self.crash_grace <= now + eps)
-            if np.any(doomed):
+            if doomed.any():
                 self.crash_time = np.where(
                     doomed, self.first_failure + self.crash_grace, self.crash_time)
                 self.active &= ~doomed
@@ -447,6 +532,7 @@ class VectorFleet:
             if n_act == 0:
                 break
             self._host_ticks += n_act
+            blk, j = self._draws(k)
 
             # 1. Pool-leak drip (period 5 s, lognormal moment-matched to
             #    the object model's gamma burst).
@@ -458,48 +544,37 @@ class VectorFleet:
                 mean = self._pool_rate * _POOL_DRIP_PERIOD * drips
                 cv = self._pool_cv
                 sigma2 = np.log(1.0 + cv * cv)
-                zn = self._rng.normals("pool", k * 2)
                 nbytes = np.floor(batch_rng.lognormal(
-                    zn, np.log(mean) - 0.5 * sigma2, np.sqrt(sigma2)))
+                    blk["pool"][:, j], np.log(mean) - 0.5 * sigma2, np.sqrt(sigma2)))
                 ok = self.pool_used + nbytes <= self.config.nonpaged_pool_bytes
                 take = act & ok & (nbytes >= 1.0)
                 self.pool_used = np.where(take, self.pool_used + nbytes, self.pool_used)
                 pool_fail = act & ~ok & (nbytes >= 1.0)
-                if np.any(pool_fail):
+                if pool_fail.any():
                     self.cum_alloc_failures += pool_fail
                     self._note_failure(pool_fail, np.full(self.n_hosts, 3, dtype=np.int8))
 
             # 2. ON/OFF phase toggles (renewal process on the absolute
             #    clock: no drift from tick quantisation).
             toggle = act[:, None] & (self.src_next <= now + eps)
-            if np.any(toggle):
-                u = self._rng.uniforms("onoff", k * self._S, lanes=self._S)
+            if toggle.any():
                 mean = np.where(self.src_on, w.mean_off, w.mean_on)  # next phase
-                dur = batch_rng.pareto_duration(u, w.pareto_shape, 1.0) * mean
+                dur = blk["onoff"][:, j] * mean
                 self.src_next = np.where(toggle, self.src_next + dur, self.src_next)
                 self.src_on = np.where(toggle, ~self.src_on, self.src_on)
 
             # 3. Burst demand: ON sources allocate max(1, Poisson(rate*dt)).
             on = act[:, None] & self.src_on
             burst = np.zeros((self.n_hosts, self._S), dtype=np.int64)
-            if np.any(on):
-                ub2 = self._rng.uniforms("burst", k * 3 * self._S, lanes=self._S)
-                zb = self._rng.normals(
-                    "burst", k * 3 * self._S + self._S, lanes=self._S)
-                pages = np.maximum(
-                    batch_rng.poisson(w.on_rate_pages * dt, ub2, zb), 1)
-                burst = np.where(on, pages, 0)
+            if on.any():
+                burst = np.where(on, blk["burst"][:, j], 0)
             burst_tot = burst.sum(axis=1)
 
             # 4. Session arrivals (Bernoulli-thinned Poisson process).
-            us = self._rng.uniforms("sess", k * 8, lanes=3)
-            zs = self._rng.normals("sess", k * 8 + 4)
-            arrive = act & (us[:, 0] < w.session_rate * dt)
+            arrive = act & (blk["sess_u"][:, j] < w.session_rate * dt)
             sess_pages = np.zeros(self.n_hosts, dtype=np.int64)
-            if np.any(arrive):
-                pages = np.maximum(
-                    np.floor(batch_rng.lognormal(zs, self._sess_mu, 1.0)), 8.0)
-                sess_pages = np.where(arrive, pages.astype(np.int64), 0)
+            if arrive.any():
+                sess_pages = np.where(arrive, blk["sess_pages"][:, j], 0)
 
             # 5. Batch-job launches.
             batch_pages = np.zeros(self.n_hosts, dtype=np.int64)
@@ -507,8 +582,8 @@ class VectorFleet:
             if self._batch is not None:
                 period, bpages, run_time = self._batch
                 launch = act & (self._batch_next <= now + eps)
-                if np.any(launch):
-                    ub = self._rng.uniforms("batch", k * 4, lanes=3)
+                if launch.any():
+                    ub = blk["batch"][:, j]
                     self._batch_next = np.where(
                         launch,
                         self._batch_next + period * (0.9 + 0.2 * ub[:, 0]),
@@ -524,41 +599,36 @@ class VectorFleet:
 
             # 7. Fragmentation erosion on listener-visible allocations.
             if self._frag_rate > 0:
-                uf = self._rng.uniforms("frag", k)
+                uf = blk["frag"][:, j]
                 expected = self._frag_rate * grant * PAGE_SIZE
                 self.frag_lost += np.where(
                     grant > 0, batch_rng.exponential(uf, expected), 0.0)
 
             # 8. Schedule releases (granted pages only) on the ring buffers.
             slot = k % self._B
-            if np.any(on):
-                uh = self._rng.uniforms("hold", k * self._S, lanes=self._S)
-                hold = batch_rng.exponential(uh, w.hold_time)
+            if on.any():
                 rel = np.floor(burst * ratio[:, None]).astype(np.int64)
-                offs = np.clip(np.rint(hold / dt).astype(np.int64), 1, self._B - 1)
+                offs = blk["hold"][:, j]
                 sel = on & (rel > 0)
-                if np.any(sel):
+                if sel.any():
                     hosts, _ = np.nonzero(sel)
                     np.add.at(self._release_ring,
                               (hosts, (k + offs[sel]) % self._B), rel[sel])
-            if np.any(arrive):
+            if arrive.any():
                 sess_rel = np.floor(sess_pages * ratio).astype(np.int64)
-                life = batch_rng.exponential(us[:, 1], w.session_lifetime)
-                offs = np.clip(np.rint(life / dt).astype(np.int64), 1, self._B - 1)
+                offs = blk["sess_life"][:, j]
                 sel = arrive & (sess_rel > 0)
                 hosts = np.flatnonzero(sel)
                 np.add.at(self._release_ring,
                           (hosts, (k + offs[sel]) % self._B), sess_rel[sel])
                 # Mid-life touch of 25% of the working set.
                 tpages = (sess_rel * 0.25).astype(np.int64)
-                toffs = np.clip(
-                    np.rint(life * (0.2 + 0.6 * us[:, 2]) / dt).astype(np.int64),
-                    1, self._B - 1)
+                toffs = blk["sess_touch"][:, j]
                 tsel = arrive & (tpages > 0)
                 hosts = np.flatnonzero(tsel)
                 np.add.at(self._touch_ring,
                           (hosts, (k + toffs[tsel]) % self._B), tpages[tsel])
-            if launch is not None and np.any(launch):
+            if launch is not None and launch.any():
                 _, _, run_time = self._batch
                 brel = np.floor(batch_pages * ratio).astype(np.int64)
                 boffs = np.clip(
@@ -574,32 +644,32 @@ class VectorFleet:
             #    exactly as in the object model.
             due = np.where(act, self._release_ring[:, slot], 0)
             self._release_ring[:, slot] = 0
-            if np.any(due > 0):
+            if (due > 0).any():
                 leaked = np.zeros(self.n_hosts, dtype=np.int64)
                 if self._leak_frac > 0 and now >= self._onset:
-                    ul = self._rng.uniforms("leak", k * 4)
-                    zl = self._rng.normals("leak", k * 4 + 1)
-                    leaked = batch_rng.binomial(due, self._leak_frac, ul, zl)
-                    if np.any(leaked > 0):
+                    leaked = batch_rng.binomial(
+                        due, self._leak_frac, blk["leak_u"][:, j], blk["leak_z"][:, j])
+                    if (leaked > 0).any():
                         self._pin(leaked)
                 self._free(due - leaked)
             pre = self._preload_map.get(k)
-            if pre and np.any(self._preload_enabled):
+            if pre and self._preload_enabled.any():
                 self._free(np.where(act & self._preload_enabled, pre, 0))
 
             # 10. Due mid-life touches (hard faults under pressure).
             tdue = np.where(act, self._touch_ring[:, slot], 0)
             self._touch_ring[:, slot] = 0
-            if np.any(tdue > 0):
+            if (tdue > 0).any():
                 self._touch_in(tdue)
 
             # 11. Sample the perfmon counters on the sampling grid.
             if k % self._sample_every == 0:
-                self._sample(k, act)
+                self._sample(k, act, blk, j)
         if self._now < until:
             self._now = until
 
-    def _sample(self, k: int, act: np.ndarray) -> None:
+    def _sample(self, k: int, act: np.ndarray,
+                blk: Dict[str, np.ndarray], j: int) -> None:
         interval = self._sample_every * self.dt
         pages_io = self.cum_in + self.cum_out
         vals = np.empty((self.n_hosts, len(COUNTER_NAMES)))
@@ -615,10 +685,8 @@ class VectorFleet:
         self._n_samples += int(act.sum()) * len(COUNTER_NAMES)
         if not self._collect:
             return
-        drop_p = self.config.sample_drop_probability
-        if drop_p > 0:
-            ud = self._rng.uniforms("sampler", k * 8, lanes=len(COUNTER_NAMES))
-            vals[ud < drop_p] = np.nan
+        if "sampler" in blk:
+            vals[blk["sampler"][:, j]] = np.nan
         slot = k // self._sample_every - 1
         idx = np.flatnonzero(act)
         self._traces[idx, slot, :] = vals[idx]

@@ -24,9 +24,18 @@ relies on:
   perturb results, so ``run_fleet(..., engine="vector", workers=k)`` is
   bit-identical for every ``k``.
 
-Counters are managed by the caller (the fleet engine uses
-``tick * LANE_STRIDE + lane``), keeping this module stateless apart from the
-cached per-stream keys.
+Counters are managed by the caller: the fleet engine gives each stream a
+fixed *stride* of counters per tick, so lane ``j`` of tick ``k`` is counter
+``k * stride + j``.  Because a draw depends on nothing but its counter,
+:meth:`FleetRng.block` can draw a whole block of ticks in one splitmix64 pass
+over ``(n_hosts, ticks * stride)`` counters and hand back the same bits that
+one call per tick would; :meth:`FleetRng.block_ticks` bounds the block so its
+size does not grow with the fleet.  The engine keeps the blocks it draws;
+this module keeps nothing but the cached per-stream keys.
+
+The counter arithmetic wraps modulo 2**64 on uint64 *arrays*, which numpy
+does silently; only numpy integer *scalars* warn on overflow, so the one
+scalar loop (the stream tag) is the only place that suppresses the warning.
 
 The derived samplers (exponential, Pareto, lognormal, geometric, Poisson,
 binomial) are deliberately the inverse-CDF / moment-matched forms documented
@@ -43,6 +52,7 @@ import numpy as np
 __all__ = [
     "FleetRng",
     "host_seeds",
+    "box_muller",
     "exponential",
     "pareto_duration",
     "lognormal",
@@ -58,19 +68,24 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / (1 << 53))
 
-# Distinct lanes within one (stream, tick) live this far apart in counter
-# space; ticks advance the counter by LANE_STRIDE so a stream can burn up to
-# LANE_STRIDE independent draws per host per tick without collisions.
-LANE_STRIDE = 64
+_SHIFT_30, _SHIFT_27, _SHIFT_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+# Most draws one block holds across all hosts (float64: 512 KiB), and most
+# ticks it spans; a block of a 10k-host fleet shrinks to one tick.
+_BLOCK_DRAWS = 1 << 16
+_BLOCK_MAX_TICKS = 256
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finaliser over a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = (x + _GOLDEN).astype(np.uint64, copy=False)
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+    """Vectorised splitmix64 finaliser over a uint64 array (a new array;
+    the arithmetic wraps modulo 2**64)."""
+    z = x + _GOLDEN
+    z ^= z >> _SHIFT_30
+    z *= _MIX_A
+    z ^= z >> _SHIFT_27
+    z *= _MIX_B
+    z ^= z >> _SHIFT_31
+    return z
 
 
 def _stream_tag(name: str) -> np.uint64:
@@ -116,8 +131,7 @@ class FleetRng:
     def _key(self, stream: str) -> np.ndarray:
         key = self._keys.get(stream)
         if key is None:
-            with np.errstate(over="ignore"):
-                key = _mix64(self._seeds ^ _mix64(np.full_like(self._seeds, _stream_tag(stream))))
+            key = _mix64(self._seeds ^ _mix64(np.full_like(self._seeds, _stream_tag(stream))))
             self._keys[stream] = key
         return key
 
@@ -132,24 +146,46 @@ class FleetRng:
         key = self._key(stream)
         if lanes:
             ctr = np.arange(counter, counter + lanes, dtype=np.int64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                bits = _mix64(key[:, None] ^ _mix64(ctr)[None, :])
+            bits = _mix64(key[:, None] ^ _mix64(ctr)[None, :])
         else:
-            ctr = np.uint64(np.int64(counter).view(np.uint64))
-            with np.errstate(over="ignore"):
-                bits = _mix64(key ^ _mix64(np.full(1, ctr, dtype=np.uint64))[0])
-        return (bits >> np.uint64(11)).astype(np.float64) * _U53
+            ctr = np.full(1, counter, dtype=np.int64).view(np.uint64)
+            bits = _mix64(key ^ _mix64(ctr)[0])
+        bits >>= np.uint64(11)
+        return bits.astype(np.float64) * _U53
 
     def normals(self, stream: str, counter: int, lanes: int = 0) -> np.ndarray:
-        """Standard-normal draws via Box–Muller (two uniforms per normal)."""
+        """Standard-normal draws via Box–Muller (two uniforms per normal):
+        ``box_muller(u[counter], u[counter + 1])`` with ``lanes == 0``,
+        lanes ``counter .. counter + lanes - 1`` against the next ``lanes``
+        counters otherwise."""
         if lanes:
             u = self.uniforms(stream, counter, lanes=2 * lanes)
-            u1, u2 = u[:, :lanes], u[:, lanes:]
-        else:
-            u1 = self.uniforms(stream, counter)
-            u2 = self.uniforms(stream, counter + 1)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        return r * np.cos(2.0 * np.pi * u2)
+            return box_muller(u[:, :lanes], u[:, lanes:])
+        return box_muller(self.uniforms(stream, counter),
+                          self.uniforms(stream, counter + 1))
+
+    def block_ticks(self, per_tick: int) -> int:
+        """Ticks one block spans when each tick takes ``per_tick``
+        counters per host: at most ``_BLOCK_DRAWS`` draws over the fleet
+        and ``_BLOCK_MAX_TICKS`` ticks, and at least one tick."""
+        return max(1, min(_BLOCK_MAX_TICKS,
+                          _BLOCK_DRAWS // (self.n_hosts * max(1, per_tick))))
+
+    def block(self, stream: str, tick: int, ticks: int, stride: int) -> np.ndarray:
+        """Uniforms of ``ticks`` consecutive ticks from ``tick`` on a
+        stream that takes ``stride`` counters per tick, in one pass.
+
+        Shape ``(n_hosts, ticks, stride)``; element ``[:, t, j]`` is
+        bit-identical to ``uniforms(stream, (tick + t) * stride + j)``.
+        """
+        u = self.uniforms(stream, tick * stride, lanes=ticks * stride)
+        return u.reshape(self.n_hosts, ticks, stride)
+
+
+def box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from two equal-shaped uniform arrays."""
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    return r * np.cos(2.0 * np.pi * u2)
 
 
 # -- derived samplers (inverse CDF / moment matched) ------------------------
@@ -189,11 +225,11 @@ def poisson(lam: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     out = np.zeros(np.broadcast(lam, u).shape, dtype=np.int64)
     big = lam >= 32.0
-    if np.any(big):
+    if big.any():
         approx = np.rint(lam + np.sqrt(np.maximum(lam, 0.0)) * z)
         out = np.where(big, np.maximum(approx, 0.0).astype(np.int64), out)
     small = ~big & (lam > 0)
-    if np.any(small):
+    if small.any():
         # Vectorised inverse-CDF walk; bounded by mean + 12*sd + 12 terms.
         lam_s = np.where(small, lam, 0.0)
         pmf = np.exp(-lam_s)
@@ -203,7 +239,7 @@ def poisson(lam: np.ndarray, u: np.ndarray, z: np.ndarray) -> np.ndarray:
         uu = np.broadcast_to(u, cdf.shape)
         for step in range(1, kmax + 1):
             undecided = small & (uu > cdf)
-            if not np.any(undecided):
+            if not undecided.any():
                 break
             k = k + undecided.astype(np.int64)
             pmf = pmf * lam_s / step
@@ -223,7 +259,7 @@ def binomial(n: np.ndarray, p: float, u: np.ndarray, z: np.ndarray) -> np.ndarra
     mean = n * p
     out = poisson(np.where(mean < 32.0, mean, 0.0), u, z)
     big = mean >= 32.0
-    if np.any(big):
+    if big.any():
         sd = np.sqrt(np.maximum(n * p * (1.0 - p), 0.0))
         approx = np.maximum(np.rint(mean + sd * z), 0.0).astype(np.int64)
         out = np.where(big, approx, out)

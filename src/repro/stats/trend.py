@@ -10,7 +10,9 @@ is compared (experiment T4).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -130,17 +132,32 @@ def sen_slope(times, values, max_pairs: int = 250_000) -> float:
     if n * (n - 1) // 2 <= max_pairs:
         i, j = np.triu_indices(n, k=1)
     else:
-        # Seeded pseudo-random pair draw; pairs with i >= j are dropped.
-        rng = np.random.default_rng(12345)
-        i = rng.integers(0, n - 1, size=max_pairs)
-        j = rng.integers(1, n, size=max_pairs)
-        keep = i < j
-        i, j = i[keep], j[keep]
-        if i.size == 0:
-            raise AnalysisError("pair subsampling produced no valid pairs")
+        i, j = _drawn_pairs(n, max_pairs)
     dt = t[j] - t[i]
     valid = dt != 0
     if not valid.any():
         raise AnalysisError("all sampled pairs have identical times")
     slopes = (x[j][valid] - x[i][valid]) / dt[valid]
     return float(np.median(slopes))
+
+
+@functools.lru_cache(maxsize=4)
+def _drawn_pairs(n: int, max_pairs: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded pseudo-random ``(i, j)`` pair draw of :func:`sen_slope`, pairs
+    with ``i >= j`` dropped.
+
+    It depends only on ``(n, max_pairs)``, and a trend scan fits many
+    windows of one length, so it is drawn once per key and handed out
+    read-only (int32 when ``n`` allows, which indexes identically).
+    """
+    rng = np.random.default_rng(12345)
+    i = rng.integers(0, n - 1, size=max_pairs)
+    j = rng.integers(1, n, size=max_pairs)
+    keep = i < j
+    if not keep.any():
+        raise AnalysisError("pair subsampling produced no valid pairs")
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    i, j = i[keep].astype(dtype), j[keep].astype(dtype)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j

@@ -181,3 +181,43 @@ class TestSenSlope:
     def test_length_mismatch(self):
         with pytest.raises(AnalysisError):
             sen_slope([1.0, 2.0, 3.0], [0.0, 1.0])
+
+
+def _uncached_sen_slope(t, x, max_pairs=250_000):
+    """Sen's slope with the seeded pair draw made afresh on every call."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    n = t.size
+    if n * (n - 1) // 2 <= max_pairs:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(12345)
+        i = rng.integers(0, n - 1, size=max_pairs)
+        j = rng.integers(1, n, size=max_pairs)
+        keep = i < j
+        i, j = i[keep], j[keep]
+    dt = t[j] - t[i]
+    valid = dt != 0
+    return float(np.median((x[j][valid] - x[i][valid]) / dt[valid]))
+
+
+class TestSenSlopePairCache:
+    """The pair draw is memoised per (n, max_pairs); slopes must not move."""
+
+    def test_repeated_and_interleaved_lengths_match_uncached(self):
+        rng = np.random.default_rng(9)
+        lengths = [800, 3600, 800, 1200, 3600, 801, 3600, 800, 1200, 2000, 800]
+        for call, n in enumerate(lengths):
+            t = np.arange(n, dtype=float) + 10.0 * call
+            y = -0.3 * t + rng.standard_normal(n).cumsum()
+            for max_pairs in (10_000, 250_000):
+                assert sen_slope(t, y, max_pairs=max_pairs) == \
+                    _uncached_sen_slope(t, y, max_pairs=max_pairs)
+
+    def test_cached_draw_is_read_only(self):
+        from repro.stats.trend import _drawn_pairs
+
+        i, j = _drawn_pairs(3000, 10_000)
+        assert not i.flags.writeable and not j.flags.writeable
+        assert (i < j).all()
+        with pytest.raises(ValueError):
+            i[0] = 0
