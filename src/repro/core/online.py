@@ -4,7 +4,8 @@ The offline pipeline (:mod:`repro.core.pipeline`) analyses a completed
 trace.  Production monitoring needs the same decision *as samples
 arrive*; :class:`OnlineAgingMonitor` provides it:
 
-* counter samples are pushed one at a time (:meth:`update`);
+* counter samples are pushed one at a time (:meth:`update`) or in runs
+  (:meth:`update_many`);
 * every ``chunk_size`` samples, the newest ``indicator_window`` local
   Hölder exponents of the trailing ``history`` samples are computed with
   :func:`~repro.core.holder.holder_tail` (which transforms only the
@@ -16,15 +17,18 @@ arrive*; :class:`OnlineAgingMonitor` provides it:
 
 The recompute-on-chunk design keeps the amortised cost per sample at
 ``O(segment / chunk_size)`` wavelet work, a few microseconds at the
-default settings.
+default settings.  Memory is fixed: samples live in a numpy ring of
+``history + chunk_size`` values, and only the newest
+:data:`INDICATOR_POINTS_KEPT` indicator points are kept, so a monitor
+that runs as long as its host does not grow.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +40,45 @@ from ..stats.changepoint import CusumDetector
 from .holder import _scale_band, holder_tail
 
 _log = get_logger("core.online")
+
+#: Indicator points a monitor keeps for diagnostics (more when
+#: ``n_warmup + n_calibration`` is larger: calibration reads them all).
+INDICATOR_POINTS_KEPT = 1024
+
+
+def _checked_batch(times, values,
+                   after: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(times, values)`` as float arrays, or :class:`AnalysisError`
+    unless both are 1-D and equally long, finite, and strictly increasing
+    in time, all after ``after`` (None: no sample taken yet)."""
+    if not hasattr(times, "__len__"):
+        times = list(times)
+    if not hasattr(values, "__len__"):
+        values = list(values)
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
+        raise AnalysisError(
+            f"times and values must be 1-D and equally long "
+            f"(got {t.shape} and {v.shape})"
+        )
+    if t.size == 0:
+        return t, v
+    if not (np.isfinite(t).all() and np.isfinite(v).all()):
+        raise AnalysisError(
+            "samples must be finite; drop or impute collector gaps "
+            "before feeding the monitor"
+        )
+    if after is not None and t[0] <= after:
+        raise AnalysisError(
+            f"samples must arrive in strict time order ({t[0]} after {after})")
+    if t.size > 1:
+        late = np.flatnonzero(t[1:] <= t[:-1])
+        if late.size:
+            i = int(late[0])
+            raise AnalysisError(f"samples must arrive in strict time order "
+                                f"({t[i + 1]} after {t[i]})")
+    return t, v
 
 
 @dataclass
@@ -110,11 +153,17 @@ class OnlineAgingMonitor:
                 f"support: need at least 4 * max_scale = {4 * max_scale:.0f} "
                 f"samples"
             )
-        self._times: List[float] = []
-        self._values: List[float] = []
+        # The newest samples are ring[end - history:end] (fewer while
+        # filling); _append moves them to the front when the ring is full.
+        self._ring = np.empty(self.history + self.chunk_size)
+        self._end = 0
+        self._last_time: Optional[float] = None
+        self._n_samples = 0
         self._since_recompute = 0
-        self._indicator_points: List[float] = []
-        self._indicator_times: List[float] = []
+        kept = max(INDICATOR_POINTS_KEPT, self.n_warmup + self.n_calibration)
+        self._indicator_points: deque = deque(maxlen=kept)
+        self._indicator_times: deque = deque(maxlen=kept)
+        self._n_indicators = 0
         self._detectors: Optional[List[CusumDetector]] = None
         self._baseline_mean = float("nan")
         self._alarm_time: Optional[float] = None
@@ -148,24 +197,44 @@ class OnlineAgingMonitor:
             return "alarmed"
         if self.calibrated:
             return "watching"
-        if self._indicator_points:
+        if self._n_indicators:
             return "calibrating"
         return "buffering"
 
     @property
     def n_samples(self) -> int:
         """Counter samples consumed so far."""
-        return len(self._values)
+        return self._n_samples
+
+    @property
+    def n_indicators(self) -> int:
+        """Indicator points produced so far."""
+        return self._n_indicators
+
+    @property
+    def samples_to_emit(self) -> int:
+        """Samples to push until the next indicator point, counting the
+        sample that produces it."""
+        # An emit needs both a full chunk stride and a full history, so
+        # the later of the two binds (>= 1 keeps degenerate configs
+        # moving).
+        return max(self.chunk_size - self._since_recompute,
+                   self.history - self._n_samples, 1)
 
     @property
     def indicator_history(self) -> np.ndarray:
-        """All indicator points produced so far (diagnostics)."""
-        return np.asarray(self._indicator_points)
+        """The newest indicator points, oldest first (diagnostics).
+
+        Every point produced so far while there are at most
+        :data:`INDICATOR_POINTS_KEPT` (or ``n_warmup + n_calibration``,
+        if larger); only that many of the newest afterwards.
+        """
+        return np.asarray(self._indicator_points, dtype=float)
 
     @property
     def indicator_times(self) -> np.ndarray:
-        """Sample times of the indicator points (diagnostics)."""
-        return np.asarray(self._indicator_times)
+        """Sample times of :attr:`indicator_history` (diagnostics)."""
+        return np.asarray(self._indicator_times, dtype=float)
 
     @property
     def baseline_mean(self) -> float:
@@ -174,30 +243,28 @@ class OnlineAgingMonitor:
 
     # -- feeding ---------------------------------------------------------------
 
+    def check_batch(self, times, values) -> Tuple[np.ndarray, np.ndarray]:
+        """``(times, values)`` as float arrays if :meth:`update_many`
+        would take them next; raises :class:`AnalysisError` otherwise.
+
+        A batch must be 1-D, equally long, finite, and strictly
+        increasing in time after the newest sample taken so far.  Nothing
+        is consumed.
+        """
+        return _checked_batch(times, values, self._last_time)
+
     def update(self, time: float, value: float) -> bool:
         """Push one counter sample; returns True when the alarm is up."""
-        time = float(time)
-        value = float(value)
-        if not math.isfinite(time) or not math.isfinite(value):
-            raise AnalysisError(
-                f"samples must be finite (got t={time}, value={value}); "
-                "drop or impute collector gaps before feeding the monitor"
-            )
-        if self._times and time <= self._times[-1]:
-            raise AnalysisError(
-                f"samples must arrive in time order ({time} after {self._times[-1]})"
-            )
+        t, v = _checked_batch((time,), (value,), self._last_time)
         before = self.state
-        self._times.append(time)
-        self._values.append(value)
-        self._since_recompute += 1
+        self._append(t, v)
         if (self._since_recompute >= self.chunk_size
-                and len(self._values) >= self.history):
+                and self._n_samples >= self.history):
             self._since_recompute = 0
             self._emit_indicator_point()
         after = self.state
         if after != before and self.on_state_change is not None:
-            self.on_state_change(time, before, after)
+            self.on_state_change(self._last_time, before, after)
         return self.alarmed
 
     def update_many(self, times, values) -> bool:
@@ -205,79 +272,65 @@ class OnlineAgingMonitor:
 
         Equivalent to calling :meth:`update` per sample — identical
         indicator points, state transitions and callback invocations at
-        the same sample times — but validated with one vectorised pass
-        and appended in bulk, advancing straight from one emit boundary
-        to the next.  Unlike the per-sample path, an invalid batch
-        (non-finite or out-of-order samples) is rejected *whole*, before
-        anything is consumed.
+        the same sample times.  The samples between two indicator points
+        are appended in bulk; each sample that produces a point goes
+        through :meth:`update`, the one place points are emitted and
+        state changes fire.  Unlike the per-sample path, an invalid batch
+        (see :meth:`check_batch`) is rejected *whole*, before anything
+        is consumed.
         """
-        if not hasattr(times, "__len__"):
-            times = list(times)
-        if not hasattr(values, "__len__"):
-            values = list(values)
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise AnalysisError(
-                f"times and values must be 1-D and equally long "
-                f"(got {t.shape} and {v.shape})"
-            )
-        if t.size == 0:
-            return self.alarmed
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
-            raise AnalysisError(
-                "samples must be finite; drop or impute collector gaps "
-                "before feeding the monitor"
-            )
-        if (self._times and t[0] <= self._times[-1]) \
-                or np.any(np.diff(t) <= 0):
-            raise AnalysisError("samples must arrive in strict time order")
-
-        i = 0
-        n = int(t.size)
+        t, v = self.check_batch(times, values)
+        i, n = 0, int(t.size)
         while i < n:
-            # Samples until the next possible emit: the chunk stride and
-            # the history fill must *both* be satisfied, so the binding
-            # constraint is their max (>= 1 keeps degenerate configs
-            # moving).  This reproduces the per-sample emit positions
-            # exactly.
-            need = max(self.chunk_size - self._since_recompute,
-                       self.history - len(self._values), 1)
-            take = min(need, n - i)
-            before = self.state
-            self._times.extend(t[i:i + take].tolist())
-            self._values.extend(v[i:i + take].tolist())
-            self._since_recompute += take
-            if (self._since_recompute >= self.chunk_size
-                    and len(self._values) >= self.history):
-                self._since_recompute = 0
-                self._emit_indicator_point()
-            after = self.state
-            if after != before and self.on_state_change is not None:
-                self.on_state_change(float(t[i + take - 1]), before, after)
-            i += take
+            k = self.samples_to_emit
+            if k > n - i:
+                self._append(t[i:], v[i:])
+                break
+            if k > 1:
+                self._append(t[i:i + k - 1], v[i:i + k - 1])
+            i += k
+            self.update(t[i - 1], v[i - 1])
         return self.alarmed
 
     # -- internals ---------------------------------------------------------------
 
+    def _append(self, t: np.ndarray, v: np.ndarray) -> None:
+        """Take validated samples that produce no indicator point."""
+        ring, end, k = self._ring, self._end, int(v.size)
+        if end + k > ring.size:
+            # Move the newest history - k held samples to the front: with
+            # the k new ones they make up the next window.
+            keep = max(min(end, self.history - k), 0)
+            ring[:keep] = ring[end - keep:end]
+            end = keep
+            if k > self.history:
+                v = v[-self.history:]
+        ring[end:end + v.size] = v
+        self._end = end + v.size
+        self._n_samples += k
+        self._since_recompute += k
+        self._last_time = float(t[-1])
+
     def _emit_indicator_point(self) -> None:
-        window = np.asarray(self._values[-self.history:])
+        window = self._ring[self._end - self.history:self._end]
         recent = holder_tail(window, self.indicator_window,
                              **self.holder_kwargs)
         point = float(np.mean(recent)) if self.indicator == "mean" \
             else float(np.var(recent))
+        time = self._last_time
+        self._n_indicators += 1
         self._indicator_points.append(point)
-        self._indicator_times.append(self._times[-1])
+        self._indicator_times.append(time)
         _obs.counter("online.indicator_points").inc()
         if self.on_indicator is not None:
-            self.on_indicator(self._times[-1], point)
+            self.on_indicator(time, point)
 
-        usable = len(self._indicator_points) - self.n_warmup
+        usable = self._n_indicators - self.n_warmup
         if usable == self.n_calibration and self._detectors is None:
             self._calibrate()
             _log.debug("online monitor calibrated",
                        baseline_mean=self._baseline_mean,
-                       sim_time=self._indicator_times[-1])
+                       sim_time=time)
             return
         if self._detectors is None or self.alarmed:
             return
@@ -285,7 +338,7 @@ class OnlineAgingMonitor:
         for detector, signed in zip(self._detectors, (1.0, -1.0)):
             monitored = self._baseline_mean + signed * (point - self._baseline_mean)
             if detector.update(monitored):
-                self._alarm_time = self._indicator_times[-1]
+                self._alarm_time = time
                 _log.info("online alarm", sim_time=self._alarm_time,
                           indicator=self.indicator, point=point,
                           baseline_mean=self._baseline_mean)
@@ -295,7 +348,9 @@ class OnlineAgingMonitor:
                 return
 
     def _calibrate(self) -> None:
-        baseline = np.asarray(self._indicator_points[self.n_warmup:])
+        # The kept points are every point so far: calibration runs at
+        # point n_warmup + n_calibration, within INDICATOR_POINTS_KEPT.
+        baseline = np.asarray(self._indicator_points)[self.n_warmup:]
         mean = float(np.mean(baseline))
         std = float(np.std(baseline, ddof=1))
         if std == 0:

@@ -60,6 +60,7 @@ _log = get_logger("memsim.fleet_vec")
 
 _REASONS = {1: "commit", 2: "memory", 3: "pool"}
 _POOL_DRIP_PERIOD = 5.0  # LeakProcess default period, seconds
+_MIN_TRACE_SLOTS = 1024  # first allocation of the per-host sample slots
 
 
 class VectorFleet:
@@ -219,10 +220,9 @@ class VectorFleet:
             np.arange(1, self._n_slots + 1, dtype=np.float64)
             * self._sample_every * dt
         )
-        if self._collect and self._n_slots > 0:
-            self._traces = np.full((n, self._n_slots, len(COUNTER_NAMES)), np.nan)
-        else:
-            self._traces = np.zeros((n, 0, len(COUNTER_NAMES)))
+        # Sample slots, grown as they are written (see _grow_traces):
+        # most hosts crash long before the time budget runs out.
+        self._traces = np.zeros((n, 0, len(COUNTER_NAMES)))
         self._n_samples = 0  # telemetry: host-samples recorded
 
         self._tick = 0  # last completed tick index
@@ -688,8 +688,19 @@ class VectorFleet:
         if "sampler" in blk:
             vals[blk["sampler"][:, j]] = np.nan
         slot = k // self._sample_every - 1
+        if slot >= self._traces.shape[1]:
+            self._grow_traces(slot + 1)
         idx = np.flatnonzero(act)
         self._traces[idx, slot, :] = vals[idx]
+
+    def _grow_traces(self, slots: int) -> None:
+        """Make room for at least ``slots`` sample slots (NaN: not
+        sampled), doubling up to the budget's slot count."""
+        n, held, counters = self._traces.shape
+        size = min(max(slots, 2 * held, _MIN_TRACE_SLOTS), self._n_slots)
+        grown = np.full((n, size, counters), np.nan)
+        grown[:, :held] = self._traces
+        self._traces = grown
 
     # -- results ------------------------------------------------------------
 
@@ -735,14 +746,15 @@ class VectorFleet:
                 metadata["crash_reason"] = reason or "unknown"
                 metadata["first_failure_time"] = float(self.first_failure[i])
             bundle = TraceBundle(metadata=metadata)
-            if self._collect and self._n_slots > 0:
+            if self._collect:
+                grid = self._sample_grid[:self._traces.shape[1]]
                 for c, name in enumerate(COUNTER_NAMES):
                     col = self._traces[i, :, c]
                     valid = ~np.isnan(col)
                     if not np.any(valid):
                         continue
                     bundle.add(TimeSeries(
-                        times=self._sample_grid[valid], values=col[valid],
+                        times=grid[valid], values=col[valid],
                         name=name, units=_COUNTER_UNITS[name]))
             out.append(RunResult(
                 bundle=bundle,

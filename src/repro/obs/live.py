@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional, Sequence
 
+import numpy as np
+
 from ..exceptions import TraceError
 from .alerts import AlertEngine
 from .logger import get_logger
@@ -106,8 +108,9 @@ class LiveWatcher:
     """Attach an online monitor + alert rules to a live sample stream.
 
     One watcher observes one counter.  Open the session with
-    :meth:`write_header`, then feed it samples directly (:meth:`feed`),
-    replay a recorded bundle (:meth:`replay`), or attach it to a running
+    :meth:`write_header`, then feed it samples directly (:meth:`feed`
+    one at a time, :meth:`feed_many` in runs), replay a recorded bundle
+    (:meth:`replay`), or attach it to a running
     machine (:meth:`attach` before ``machine.run()``), then
     :meth:`finalize` to close it with ``crash``/``end`` and get the
     session summary.
@@ -239,6 +242,76 @@ class LiveWatcher:
             self._last_status_t = t
             self._emit_status(t)
 
+    def feed_many(self, times, values) -> None:
+        """Push a run of counter samples: the same as :meth:`feed` per
+        sample, with the same events, callbacks and counts in the same
+        order.
+
+        Non-finite samples are counted and dropped in one pass.  The rest
+        is taken in pieces that end at the next ``status`` heartbeat or
+        the next indicator point; per piece, only ``sample`` events (with
+        a recorder) and alert rules (with an engine) look at each sample,
+        and the monitor takes the piece in one
+        :meth:`~repro.core.online.OnlineAgingMonitor.update_many` call.
+        Unlike a :meth:`feed` loop, a run that is out of time order (once
+        its gaps are dropped) is rejected whole, before anything is
+        consumed.
+        """
+        if not self._header_written:
+            raise TraceError("write_header() must precede feed_many()")
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
+        if t.ndim != 1 or t.shape != v.shape:
+            raise TraceError(f"times and values must be 1-D and equally "
+                             f"long (got {t.shape} and {v.shape})")
+        finite = np.isfinite(t) & np.isfinite(v)
+        dropped = int(t.size - np.count_nonzero(finite))
+        if dropped:
+            t, v = t[finite], v[finite]
+        t, v = self.monitor.check_batch(t, v)
+        if dropped:
+            self.n_dropped += dropped
+            _obs.counter("watch.dropped_samples").inc(dropped)
+        n = int(t.size)
+        if n == 0:
+            return
+        if self._last_status_t is None:
+            # feed() sets it at the first sample, which is no heartbeat.
+            self._last_status_t = float(t[0])
+        every = self.sample_every
+        per_sample = self.engine is not None or (
+            every and self.timeline is not None)
+        i = 0
+        while i < n:
+            stop = min(n, i + self.monitor.samples_to_emit)
+            beat = False
+            if self.status_every:
+                due = (t[i:stop] - self._last_status_t) >= self.status_every
+                j = int(due.argmax())
+                if due[j]:
+                    stop, beat = i + j + 1, True
+            first = self.n_samples
+            self.n_samples += stop - i
+            self._last_value = float(v[stop - 1])
+            if per_sample:
+                for k, (tk, vk) in enumerate(zip(t[i:stop].tolist(),
+                                                 v[i:stop].tolist())):
+                    if every and (first + k) % every == 0:
+                        self._event("sample", tk, value=vk)
+                    if self.engine is not None:
+                        self._observe(self.counter, tk, vk)
+            elif every:
+                # Nothing sees these sample events but _last_t.
+                last = self.n_samples - 1
+                last -= last % every
+                if last >= first:
+                    self._last_t = float(t[i + last - first])
+            self.monitor.update_many(t[i:stop], v[i:stop])
+            if beat:
+                self._last_status_t = float(t[stop - 1])
+                self._emit_status(self._last_status_t)
+            i = stop
+
     def replay(self, bundle) -> Dict[str, object]:
         """Replay a recorded :class:`~repro.trace.series.TraceBundle`.
 
@@ -257,8 +330,7 @@ class LiveWatcher:
             if key in meta:
                 source[key] = meta[key]
         self.write_header(source)
-        for t, value in zip(series.times, series.values):
-            self.feed(t, value)
+        self.feed_many(series.times, series.values)
         crash_time = meta.get("crash_time")
         return self.finalize(
             crash_time=None if crash_time is None else float(crash_time),
@@ -300,8 +372,7 @@ class LiveWatcher:
     def drain(self, sampler) -> int:
         """Feed every sample collected since the last drain; returns count."""
         times, values, self._cursor = sampler.read_since(self.counter, self._cursor)
-        for t, value in zip(times, values):
-            self.feed(t, value)
+        self.feed_many(times, values)
         return len(times)
 
     def finalize(

@@ -299,7 +299,7 @@ class SelfWatch:
             "state": self.state,
             "monitor_state": self.monitor.state,
             "n_samples": self.monitor.n_samples,
-            "n_indicators": len(self.monitor.indicator_history),
+            "n_indicators": self.monitor.n_indicators,
             "alerts_fired": self.alerts_fired,
             "alarm_time": self.monitor.alarm_time,
         }

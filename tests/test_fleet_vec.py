@@ -181,6 +181,53 @@ class TestExactDecomposition:
                                               b.bundle[name].values)
 
 
+class TestTraceGrowth:
+    """The per-host sample slots grow as they are written; a fleet whose
+    slots were allocated for the whole budget up front is the oracle."""
+
+    @staticmethod
+    def _results(cfg, n_hosts, min_slots, monkeypatch, advance=()):
+        from repro.memsim import fleet_vec
+
+        monkeypatch.setattr(fleet_vec, "_MIN_TRACE_SLOTS", min_slots)
+        fleet = VectorFleet(cfg, n_hosts)
+        for until in advance:
+            fleet.advance(until)
+            if until == advance[0]:
+                fleet.rejuvenate()
+        return fleet, fleet.run()
+
+    @pytest.mark.parametrize("min_slots", [1, 7, 1024])
+    def test_grown_traces_equal_whole_budget_traces(self, monkeypatch,
+                                                    min_slots):
+        cfg = aging_config(budget=12_000.0)
+        whole_fleet, whole = self._results(cfg, 4, 10**9, monkeypatch,
+                                           advance=(700.0, 2_000.5))
+        fleet, grown = self._results(cfg, 4, min_slots, monkeypatch,
+                                     advance=(700.0, 2_000.5))
+        assert whole_fleet._traces.shape[1] == whole_fleet._n_slots
+        # Every host crashes early: most of the budget is never sampled.
+        assert all(r.crashed for r in grown)
+        assert fleet._traces.shape[1] < whole_fleet._n_slots / 2
+        for a, b in zip(whole, grown):
+            assert (a.crashed, a.crash_time, a.crash_reason, a.duration,
+                    a.rejuvenation_times) == (
+                b.crashed, b.crash_time, b.crash_reason, b.duration,
+                b.rejuvenation_times)
+            assert a.bundle.metadata == b.bundle.metadata
+            assert a.bundle.names == b.bundle.names == list(COUNTER_NAMES)
+            for name in a.bundle.names:
+                np.testing.assert_array_equal(a.bundle[name].times,
+                                              b.bundle[name].times)
+                np.testing.assert_array_equal(a.bundle[name].values,
+                                              b.bundle[name].values)
+
+    def test_no_slots_before_the_first_sample(self):
+        fleet = VectorFleet(aging_config(budget=80_000.0), 8)
+        assert fleet._traces.shape[1] == 0
+        assert all(r.bundle.names == [] for r in fleet.results())
+
+
 @pytest.fixture(scope="module")
 def cross_engine_report():
     """One object-vs-vector comparison fleet (module cached; the object
