@@ -10,9 +10,9 @@ The library has three layers:
   stress workloads and aging faults; replaces the paper's Windows
   NT/2000 testbed.
 * :mod:`repro.generators` — synthetic fractal signals with known
-  exponents (fBm, cascades, MRW, ARFIMA, Weierstrass).
-* :mod:`repro.fractal` — wavelets (DWT/MODWT/CWT), DFA, MFDFA, WTMM,
-  Hurst estimators, singularity spectra.
+  exponents (fBm, cascades, MRW, Weierstrass).
+* :mod:`repro.fractal` — wavelets (DWT/MODWT/CWT), DFA, MFDFA, wavelet
+  leaders, Hurst estimators, singularity spectra.
 * :mod:`repro.trace`, :mod:`repro.stats`, :mod:`repro.report` —
   time-series plumbing, statistics and text rendering.
 

@@ -9,7 +9,7 @@ error.  These helpers centralise the checks; they all raise
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -109,14 +109,3 @@ def check_choice(value, *, name: str, choices: Iterable) -> object:
     if value not in options:
         raise ValidationError(f"{name} must be one of {options!r}, got {value!r}")
     return value
-
-
-def check_increasing(values: Sequence[float], *, name: str, strict: bool = True) -> np.ndarray:
-    """Require a 1-D sequence to be (strictly) increasing."""
-    arr = as_1d_float_array(values, name=name)
-    diffs = np.diff(arr)
-    if strict and np.any(diffs <= 0):
-        raise ValidationError(f"{name} must be strictly increasing")
-    if not strict and np.any(diffs < 0):
-        raise ValidationError(f"{name} must be non-decreasing")
-    return arr

@@ -16,14 +16,13 @@ decision statistic the scoreboard's ROC sweeps reuse without
 re-simulation (see :mod:`repro.analysis.scoreboard`).
 """
 
-from .trend import TrendExhaustionDetector, TrendAlarm, predict_exhaustion_time
+from .trend import TrendExhaustionDetector, TrendAlarm
 from .naive import RawThresholdDetector
 from .entropy import RollingEntropyDetector, rolling_entropy
 
 __all__ = [
     "TrendExhaustionDetector",
     "TrendAlarm",
-    "predict_exhaustion_time",
     "RawThresholdDetector",
     "RollingEntropyDetector",
     "rolling_entropy",

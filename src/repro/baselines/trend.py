@@ -69,21 +69,6 @@ def _sen_extrapolation(
     return anchor + (floor - level) / slope, slope
 
 
-def predict_exhaustion_time(
-    times: np.ndarray,
-    values: np.ndarray,
-    *,
-    floor: float = 0.0,
-) -> Optional[float]:
-    """Extrapolate a Sen-slope fit to the time the counter hits ``floor``.
-
-    Returns None when the robust slope is non-negative (no depletion in
-    sight).
-    """
-    fit = _sen_extrapolation(times, values, floor)
-    return None if fit is None else fit[0]
-
-
 @dataclass
 class TrendExhaustionDetector:
     """Sliding-window Sen-slope exhaustion predictor.

@@ -28,7 +28,6 @@ import numpy as np
 from .._validation import check_choice, check_in_range, check_positive
 from ..exceptions import AnalysisError
 from ..stats.changepoint import CusumDetector, EwmaDetector
-from ..trace.series import TimeSeries
 from .indicators import IndicatorSeries
 
 
@@ -310,18 +309,3 @@ def detect_fractal_collapse(
     """One-call wrapper: run the configured detector over an indicator."""
     detector = HolderVarianceDetector(config=config or DetectorConfig())
     return detector.run(indicator)
-
-
-def collapse_onset_estimate(indicator: IndicatorSeries) -> float:
-    """Offline estimate of when the indicator level shifted (for scoring).
-
-    Uses the least-squares single changepoint on the indicator values and
-    returns the corresponding time.  Unlike the online detectors this
-    sees the whole series, so it approximates the "true" onset against
-    which online warning delay can be measured.
-    """
-    from ..stats.changepoint import find_single_changepoint
-
-    values = indicator.series.values
-    tau = find_single_changepoint(values, min_segment=max(5, values.size // 20))
-    return float(indicator.series.times[tau])

@@ -22,7 +22,7 @@ from typing import Dict
 import numpy as np
 
 from .._validation import check_positive_int
-from ..exceptions import AnalysisError, ValidationError
+from ..exceptions import AnalysisError
 from ..trace.series import TimeSeries
 from .holder import HolderTrajectory
 
@@ -170,12 +170,3 @@ def holder_mean_series(
         series=moments["mean"], window=window, step=step,
         statistic="mean", source_name=trajectory.source_name,
     )
-
-
-def validate_indicator(indicator: IndicatorSeries) -> None:
-    """Raise unless the indicator series is finite and non-degenerate."""
-    values = indicator.series.values
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("indicator series contains non-finite values")
-    if values.size < 8:
-        raise ValidationError("indicator series has fewer than 8 points")

@@ -9,10 +9,10 @@ Wavelets (:mod:`.wavelets`)
     Morlet).
 Global scaling estimators
     :func:`dfa` (detrended fluctuation analysis), :func:`mfdfa`
-    (its q-order multifractal generalisation), :func:`wtmm`
-    (wavelet-transform modulus maxima), the Hurst toolbox in
+    (its q-order multifractal generalisation), wavelet leaders
+    (:func:`wavelet_leader_analysis`), and the Hurst toolbox in
     :mod:`.hurst` (R/S, aggregated variance, periodogram, wavelet
-    variance), and q-order structure functions.
+    variance).
 Spectra (:mod:`.spectrum`)
     Legendre transform from tau(q) to the singularity spectrum f(alpha),
     spectrum width, and box-method partition functions for measures.
@@ -35,16 +35,13 @@ from .hurst import (
     wavelet_variance_hurst,
     hurst_summary,
 )
-from .structure import structure_functions, StructureFunctionResult
 from .spectrum import (
     legendre_spectrum,
     SingularitySpectrum,
     partition_function_tau,
     spectrum_width,
 )
-from .wtmm import wtmm, WtmmResult
 from .leaders import wavelet_leaders, wavelet_leader_analysis, WaveletLeaderResult
-from .boxcount import boxcount_dimension, generalized_dimensions
 from .sliding import sliding_mfdfa, SlidingMfdfaResult
 from .surrogates import (
     shuffle,
@@ -70,19 +67,13 @@ __all__ = [
     "periodogram_gph",
     "wavelet_variance_hurst",
     "hurst_summary",
-    "structure_functions",
-    "StructureFunctionResult",
     "legendre_spectrum",
     "SingularitySpectrum",
     "partition_function_tau",
     "spectrum_width",
-    "wtmm",
-    "WtmmResult",
     "wavelet_leaders",
     "wavelet_leader_analysis",
     "WaveletLeaderResult",
-    "boxcount_dimension",
-    "generalized_dimensions",
     "sliding_mfdfa",
     "SlidingMfdfaResult",
     "shuffle",

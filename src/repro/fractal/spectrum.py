@@ -6,8 +6,8 @@ Two routes to the singularity spectrum ``f(alpha)``:
   increments of a resource counter): the box-method partition function
   ``Z(q, s) = sum_boxes mu(box)^q ~ s^{tau(q)}`` via
   :func:`partition_function_tau`.
-* From any estimated ``tau(q)`` (MFDFA, WTMM, partition function): the
-  numerical Legendre transform ``alpha = tau'(q)``,
+* From any estimated ``tau(q)`` (MFDFA, wavelet leaders, partition
+  function): the numerical Legendre transform ``alpha = tau'(q)``,
   ``f(alpha) = q alpha - tau(q)`` via :func:`legendre_spectrum`.
 
 The *width* of the spectrum (:func:`spectrum_width`) is the scalar

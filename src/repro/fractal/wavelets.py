@@ -15,7 +15,7 @@ Continuous side
 ---------------
 * :func:`cwt` — FFT-based continuous transform with Mexican-hat (DOG-2),
   general derivative-of-Gaussian, or Morlet wavelets; the substrate for
-  WTMM and the wavelet-modulus local Hölder estimator.
+  the wavelet-modulus local Hölder estimator.
 
 Repeated transforms over the same (padded size, wavelet, scale band) —
 the shape of every sliding-window and online workload — reuse a cached

@@ -10,16 +10,12 @@ Monofractal
 :func:`fgn` / :func:`fbm`
     Fractional Gaussian noise / Brownian motion (Davies–Harte circulant
     embedding, with Cholesky and Hosking fallbacks), ``H`` exact.
-:func:`arfima`
-    ARFIMA(0, d, 0) noise, long memory with ``H = d + 1/2``.
 
 Multifractal
 ------------
 :func:`binomial_cascade`
     Deterministic/random binomial measure; tau(q) in closed form via
     :func:`binomial_cascade_tau`.
-:func:`lognormal_cascade`
-    Log-normal multiplicative cascade with parabolic tau(q).
 :func:`mrw`
     Multifractal random walk (Bacry–Delour–Muzy) with intermittency
     lambda²; tau(q) in closed form via :func:`mrw_tau`.
@@ -28,33 +24,19 @@ Deterministic test signals
 --------------------------
 :func:`weierstrass`
     Uniform Hölder exponent ``h`` everywhere.
-:func:`cantor_staircase`
-    Devil's staircase (singular measure support).
 """
 
 from .fgn import fgn, fbm
-from .arfima import arfima
-from .cascades import (
-    binomial_cascade,
-    binomial_cascade_tau,
-    lognormal_cascade,
-    lognormal_cascade_tau,
-)
+from .cascades import binomial_cascade, binomial_cascade_tau
 from .mrw import mrw, mrw_tau
-from .deterministic import weierstrass, cantor_staircase
-from .onoff import onoff_aggregate_rate
+from .deterministic import weierstrass
 
 __all__ = [
     "fgn",
     "fbm",
-    "arfima",
     "binomial_cascade",
     "binomial_cascade_tau",
-    "lognormal_cascade",
-    "lognormal_cascade_tau",
     "mrw",
     "mrw_tau",
     "weierstrass",
-    "cantor_staircase",
-    "onoff_aggregate_rate",
 ]

@@ -4,22 +4,19 @@ A multiplicative cascade distributes unit mass over ``[0, 1]`` by
 recursively splitting every dyadic interval in two and multiplying the
 children's masses by random (or fixed) weights.  The resulting measure is
 multifractal with a *closed-form* scaling function, which makes cascades
-the standard ground truth for MFDFA/WTMM estimators.
+the standard ground truth for multifractal estimators.
 
 Binomial (deterministic weights p, 1-p):
     ``tau(q) = -log2(p^q + (1-p)^q)`` and the partition-function exponents
     follow exactly; the singularity spectrum is a smooth bump between
     ``alpha_min = -log2(max(p,1-p))`` and ``alpha_max = -log2(min(p,1-p))``.
-
-Log-normal weights ``W = 2^{-(lambda N(0,1) + lambda^2 ln2 / 2 ... )}``
-normalised to mean 1/2 give a parabolic ``tau(q)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_in_range, check_positive, check_positive_int
+from .._validation import check_in_range, check_positive_int
 from ..exceptions import ValidationError
 
 
@@ -80,61 +77,3 @@ def binomial_cascade_tau(q, p: float = 0.7) -> np.ndarray:
     check_in_range(p, name="p", low=0.0, high=1.0, inclusive_low=False, inclusive_high=False)
     q = np.asarray(q, dtype=float)
     return -np.log2(p**q + (1.0 - p) ** q)
-
-
-def lognormal_cascade(
-    n_levels: int,
-    lam: float = 0.3,
-    *,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Generate a log-normal multiplicative cascade of length ``2**n_levels``.
-
-    Each child's weight is ``W = 2^{-(1/2 + lam * Z - lam^2 ln2 / ...)}``
-    arranged so that ``E[W] = 1/2`` (mass conserved on average).  The
-    scaling function is the parabola given by
-    :func:`lognormal_cascade_tau`.
-
-    ``lam`` is the intermittency parameter; ``lam = 0`` degenerates to
-    the uniform measure.
-    """
-    check_positive_int(n_levels, name="n_levels")
-    check_in_range(lam, name="lam", low=0.0, high=2.0, inclusive_low=True, inclusive_high=False)
-    if n_levels > 26:
-        raise ValidationError(f"n_levels={n_levels} would allocate 2^{n_levels} cells")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    ln2 = np.log(2.0)
-    masses = np.array([1.0])
-    for level in range(n_levels):
-        # log2 W = -(1 + lam^2 ln2 / 2) + lam Z  =>  E[W] = 2^{-1}.
-        z = rng.standard_normal(masses.size * 2)
-        log2_w = -(1.0 + lam**2 * ln2 / 2.0) + lam * z
-        weights = np.exp2(log2_w)
-        children = np.repeat(masses, 2) * weights
-        masses = children
-    total = masses.sum()
-    if total <= 0:
-        raise ValidationError("cascade mass vanished; lam too large for this depth")
-    return masses / total
-
-
-def lognormal_cascade_tau(q, lam: float = 0.3) -> np.ndarray:
-    """Exact scaling function of the log-normal cascade.
-
-    Derivation: an interval at dyadic level ``j`` carries the product of
-    ``j`` i.i.d. weights, so the expected partition function is
-    ``E[Z(q, j)] = 2^j (E[W^q])^j`` and with scale ``s = 2^-j``,
-    ``tau(q) = -(1 + log2 E[W^q])``.  Our weights have
-    ``log2 W ~ N(-(1 + lam^2 ln2 / 2), lam^2)``, hence
-
-    ``tau(q) = q (1 + lam^2 ln2 / 2) - q^2 lam^2 ln2 / 2 - 1``
-
-    a downward parabola with ``tau(0) = -1`` and ``tau(1) = 0`` (mass
-    conservation), degenerating to the linear ``q - 1`` at ``lam = 0``.
-    """
-    check_in_range(lam, name="lam", low=0.0, high=2.0, inclusive_low=True, inclusive_high=False)
-    q = np.asarray(q, dtype=float)
-    ln2 = np.log(2.0)
-    return q * (1.0 + lam**2 * ln2 / 2.0) - q**2 * lam**2 * ln2 / 2.0 - 1.0

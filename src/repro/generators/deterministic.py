@@ -2,8 +2,7 @@
 
 :func:`weierstrass` has uniform Hölder exponent ``h`` at *every* point —
 the cleanest possible target for a local Hölder estimator (no sampling
-variability in the truth).  :func:`cantor_staircase` is the devil's
-staircase, whose increments concentrate on a measure-zero set.
+variability in the truth).
 """
 
 from __future__ import annotations
@@ -55,26 +54,3 @@ def weierstrass(
     for k in reversed(range(n_terms)):
         out += gamma ** (-k * h) * np.cos((gamma**k) * 2.0 * np.pi * t)
     return out
-
-
-def cantor_staircase(n_levels: int = 12) -> np.ndarray:
-    """The devil's staircase sampled on a grid of ``3 ** n_levels`` points.
-
-    Built as the cumulative distribution of the uniform measure on the
-    middle-thirds Cantor set: mass splits (1/2, 0, 1/2) across each
-    triadic refinement.  The staircase is constant almost everywhere yet
-    climbs from 0 to 1; its increments have Hölder exponent
-    ``log 2 / log 3 ≈ 0.6309`` on the Cantor set.
-    """
-    check_positive_int(n_levels, name="n_levels")
-    if n_levels > 15:
-        from ..exceptions import ValidationError
-
-        raise ValidationError(f"n_levels={n_levels} would allocate 3^{n_levels} cells")
-    masses = np.array([1.0])
-    for level in range(n_levels):
-        children = np.zeros(masses.size * 3)
-        children[0::3] = masses / 2.0
-        children[2::3] = masses / 2.0
-        masses = children
-    return np.cumsum(masses)

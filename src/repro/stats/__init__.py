@@ -10,27 +10,17 @@ Contents
     Mann–Kendall trend test and Sen's (Theil–Sen) robust slope, the
     machinery behind the Vaidyanathan–Trivedi baseline detector.
 ``changepoint``
-    Online CUSUM and EWMA detectors and an offline single-changepoint
-    locator, used on Hölder-exponent summary series.
-``bootstrap``
-    Moving-block bootstrap confidence intervals for statistics of
-    dependent series.
+    Online CUSUM and EWMA detectors, used on Hölder-exponent summary
+    series.
 ``roc``
     Detection/false-alarm scoring across runs for detector comparison.
 """
 
 from .regression import LineFit, fit_line, fit_line_wls
 from .trend import MannKendallResult, mann_kendall, sen_slope
-from .changepoint import (
-    CusumDetector,
-    EwmaDetector,
-    find_single_changepoint,
-)
-from .bootstrap import block_bootstrap_ci
+from .changepoint import CusumDetector, EwmaDetector
 from .roc import DetectionOutcome, score_detections, roc_curve, auc
-from .whittle import local_whittle
-from .tails import hill_estimator, hill_plot_data, tail_quantile_ratio
-from .stationarity import kpss_test, KpssResult
+from .tails import hill_estimator, tail_quantile_ratio
 
 __all__ = [
     "LineFit",
@@ -41,16 +31,10 @@ __all__ = [
     "sen_slope",
     "CusumDetector",
     "EwmaDetector",
-    "find_single_changepoint",
-    "block_bootstrap_ci",
     "DetectionOutcome",
     "score_detections",
     "roc_curve",
     "auc",
-    "local_whittle",
     "hill_estimator",
-    "hill_plot_data",
     "tail_quantile_ratio",
-    "kpss_test",
-    "KpssResult",
 ]

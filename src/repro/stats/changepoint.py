@@ -2,15 +2,13 @@
 
 Two online detectors (CUSUM, EWMA) raise alarms as soon as a monitored
 statistic drifts from its calibrated baseline — these power the paper-core
-"fractal collapse" warnings.  One offline locator finds the single most
-likely mean shift in a completed series, used when scoring where the
-collapse happened.
+"fractal collapse" warnings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +16,6 @@ from .._validation import (
     as_1d_float_array,
     check_nonnegative,
     check_positive,
-    check_positive_int,
 )
 from ..exceptions import AnalysisError
 
@@ -181,62 +178,3 @@ class EwmaDetector:
             if self.update(xi):
                 return float(ti)
         return None
-
-
-def find_single_changepoint(values, min_segment: int = 5) -> int:
-    """Locate the most likely single mean-shift point in a series.
-
-    Returns the index ``tau`` (``min_segment <= tau <= n - min_segment``)
-    that maximises the between-segment sum-of-squares reduction — the
-    classical least-squares/AMOC changepoint.  Raises
-    :class:`AnalysisError` if the series is too short.
-    """
-    x = as_1d_float_array(values, name="values", min_length=2)
-    check_positive_int(min_segment, name="min_segment")
-    n = x.size
-    if n < 2 * min_segment:
-        raise AnalysisError(
-            f"need at least {2 * min_segment} samples for min_segment={min_segment}"
-        )
-    # Prefix sums let every split be scored in O(1).
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    csq = np.concatenate([[0.0], np.cumsum(x**2)])
-    taus = np.arange(min_segment, n - min_segment + 1)
-
-    left_n = taus.astype(float)
-    right_n = (n - taus).astype(float)
-    left_sum = csum[taus]
-    right_sum = csum[n] - left_sum
-    # Within-segment SSE for each candidate split.
-    left_sse = csq[taus] - left_sum**2 / left_n
-    right_sse = (csq[n] - csq[taus]) - right_sum**2 / right_n
-    total_sse = left_sse + right_sse
-    return int(taus[np.argmin(total_sse)])
-
-
-def detect_level_jumps(values, *, window: int = 20, z_threshold: float = 4.0) -> List[int]:
-    """Flag indices where the series jumps relative to its recent past.
-
-    For each index ``i >= window``, compares ``x_i`` against the mean and
-    standard deviation of the preceding ``window`` samples; indices with a
-    z score above ``z_threshold`` are reported.  Used to localise abrupt
-    Hölder-trajectory jumps.
-    """
-    x = as_1d_float_array(values, name="values", min_length=2)
-    check_positive_int(window, name="window", minimum=3)
-    check_positive(z_threshold, name="z_threshold")
-    if x.size <= window:
-        return []
-    jumps: List[int] = []
-    csum = np.concatenate([[0.0], np.cumsum(x)])
-    csq = np.concatenate([[0.0], np.cumsum(x**2)])
-    for i in range(window, x.size):
-        lo = i - window
-        mean = (csum[i] - csum[lo]) / window
-        var = (csq[i] - csq[lo]) / window - mean**2
-        std = np.sqrt(max(var, 0.0))
-        if std == 0:
-            continue
-        if abs(x[i] - mean) / std > z_threshold:
-            jumps.append(i)
-    return jumps

@@ -6,8 +6,6 @@ heavy-tailedness assumption on simulated or measured quantities:
 
 * :func:`hill_estimator` — the classical Hill estimate of the tail index
   from the k largest order statistics, with its standard error.
-* :func:`hill_plot_data` — the Hill estimate swept over k (the "Hill
-  plot" used to pick a stable region).
 * :func:`tail_quantile_ratio` — a quick scalar diagnostic: the
   99.9%/99% quantile ratio, far larger for power-law tails than for
   exponential ones.
@@ -59,25 +57,6 @@ def hill_estimator(values, k: int | None = None) -> Tuple[float, float]:
         raise AnalysisError("degenerate upper tail (ties at the maximum?)")
     alpha = 1.0 / mean_excess
     return alpha, alpha / np.sqrt(k)
-
-
-def hill_plot_data(values, *, k_min: int = 10, n_points: int = 30,
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Hill estimates over a log-spaced sweep of k.
-
-    Returns ``(ks, alphas)`` for inspecting estimator stability; a flat
-    stretch indicates a genuine power-law regime.
-    """
-    x = as_1d_float_array(values, name="values", min_length=64)
-    x = x[x > 0]
-    if x.size < 64:
-        raise AnalysisError("need at least 64 positive samples for a Hill plot")
-    k_max = x.size // 2
-    if k_max <= k_min:
-        raise AnalysisError("sample too small for the requested k range")
-    ks = np.unique(np.round(np.geomspace(k_min, k_max, n_points)).astype(int))
-    alphas = np.array([hill_estimator(x, k=int(k))[0] for k in ks])
-    return ks, alphas
 
 
 def tail_quantile_ratio(values, *, q_hi: float = 0.999, q_lo: float = 0.99) -> float:

@@ -18,9 +18,8 @@ Public API
 :class:`ColumnarStore`
     Lazy per-counter reader over one columnar run directory.
 Preprocessing helpers
-    :func:`detrend`, :func:`difference`, :func:`standardize`,
-    :func:`resample_uniform`, :func:`fill_gaps`, :func:`segment`,
-    :func:`sliding_windows`.
+    :func:`detrend`, :func:`difference`, :func:`resample_uniform`,
+    :func:`fill_gaps`, :func:`segment`.
 """
 
 from .series import TimeSeries, TraceBundle
@@ -34,15 +33,12 @@ from .store import (
     write_columnar,
 )
 from .perfmon import read_perfmon_csv, normalize_counter_name
-from .align import align_series, correlation_matrix, lagged_correlation
 from .preprocess import (
     detrend,
     difference,
-    standardize,
     resample_uniform,
     fill_gaps,
     segment,
-    sliding_windows,
 )
 
 __all__ = [
@@ -59,14 +55,9 @@ __all__ = [
     "is_columnar_store",
     "read_perfmon_csv",
     "normalize_counter_name",
-    "align_series",
-    "correlation_matrix",
-    "lagged_correlation",
     "detrend",
     "difference",
-    "standardize",
     "resample_uniform",
     "fill_gaps",
     "segment",
-    "sliding_windows",
 ]

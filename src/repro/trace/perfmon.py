@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import os
 from datetime import datetime
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -86,7 +86,10 @@ def read_perfmon_csv(
         Optional allowlist of *normalised* counter names to keep (e.g.
         ``["AvailableBytes"]``); all counters are kept by default.
 
-    Times are converted to seconds since the first sample.
+    Times are converted to seconds since the first sample.  A repeated
+    timestamp is nudged 1 µs past the previous one; a timestamp earlier
+    than the previous row's (a DST fall-back, a clock step) raises
+    :class:`TraceError` naming the line.
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -107,7 +110,13 @@ def read_perfmon_csv(
                 raise TraceError(
                     f"row has {len(row)} cells, expected {len(header)}: {row[:3]!r}..."
                 )
-            timestamps.append(_parse_timestamp(row[0]))
+            stamp = _parse_timestamp(row[0])
+            if timestamps and stamp < timestamps[-1]:
+                raise TraceError(
+                    f"{path} line {reader.line_num}: timestamp {row[0].strip()!r} "
+                    f"is earlier than the previous row's ({timestamps[-1]})"
+                )
+            timestamps.append(stamp)
             cells.append(row[1:])
 
     if not timestamps:

@@ -1,14 +1,13 @@
 """Preprocessing transforms on :class:`~repro.trace.series.TimeSeries`.
 
 These are the standard conditioning steps applied before fractal analysis:
-gap filling, resampling onto a uniform grid, detrending, differencing and
-standardisation, plus segmentation and sliding-window iteration used by the
-aging detectors.
+gap filling, resampling onto a uniform grid, detrending and differencing,
+plus segmentation into contiguous pieces.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Literal, Tuple
+from typing import List, Literal
 
 import numpy as np
 
@@ -55,17 +54,6 @@ def difference(ts: TimeSeries, order: int = 1) -> TimeSeries:
         times=ts.times[order:], values=values,
         name=f"{ts.name}.diff{order}", units=ts.units,
     )
-
-
-def standardize(ts: TimeSeries) -> TimeSeries:
-    """Scale to zero mean and unit variance (ignoring gaps)."""
-    clean = ts.values[~np.isnan(ts.values)]
-    if clean.size < 2:
-        raise AnalysisError("standardize needs at least 2 non-gap samples")
-    std = float(np.std(clean))
-    if std == 0:
-        raise AnalysisError(f"series {ts.name!r} is constant; cannot standardize")
-    return ts.with_values((ts.values - np.mean(clean)) / std, name=f"{ts.name}.z")
 
 
 def fill_gaps(ts: TimeSeries, method: Literal["interpolate", "ffill"] = "interpolate") -> TimeSeries:
@@ -126,26 +114,3 @@ def segment(ts: TimeSeries, n_segments: int) -> List[TimeSeries]:
             name=f"{ts.name}.seg{i}", units=ts.units,
         ))
     return pieces
-
-
-def sliding_windows(
-    ts: TimeSeries, window: int, step: int = 1,
-) -> Iterator[Tuple[float, TimeSeries]]:
-    """Yield ``(right_edge_time, window_series)`` pairs.
-
-    Windows contain ``window`` consecutive samples and advance by ``step``
-    samples.  The yielded time is the timestamp of the window's last
-    sample, which is when that window's statistic becomes available to an
-    online detector.
-    """
-    check_positive_int(window, name="window", minimum=2)
-    check_positive_int(step, name="step")
-    if len(ts) < window:
-        return
-    for start in range(0, len(ts) - window + 1, step):
-        stop = start + window
-        piece = TimeSeries(
-            times=ts.times[start:stop], values=ts.values[start:stop],
-            name=ts.name, units=ts.units,
-        )
-        yield float(ts.times[stop - 1]), piece

@@ -1,4 +1,4 @@
-"""Tests for scenarios, sliding MFDFA, tails, ON/OFF generator, campaigns."""
+"""Tests for scenarios, sliding MFDFA, tails and campaigns."""
 
 import math
 
@@ -16,10 +16,9 @@ from repro.analysis import (
     save_results,
 )
 from repro.exceptions import AnalysisError, TraceError, ValidationError
-from repro.fractal import dfa, sliding_mfdfa
-from repro.generators import onoff_aggregate_rate
+from repro.fractal import sliding_mfdfa
 from repro.memsim import SCENARIO_NAMES, build_scenario
-from repro.stats import hill_estimator, hill_plot_data, tail_quantile_ratio
+from repro.stats import hill_estimator, tail_quantile_ratio
 from repro.trace import TimeSeries
 
 
@@ -106,13 +105,6 @@ class TestTails:
         alpha, __ = hill_estimator(x, k=200)
         assert alpha > 3.0  # effectively light-tailed
 
-    def test_hill_plot_shapes(self):
-        rng = np.random.default_rng(5)
-        x = 1.0 + rng.pareto(1.5, size=10_000)
-        ks, alphas = hill_plot_data(x)
-        assert ks.size == alphas.size >= 10
-        assert np.all(np.diff(ks) > 0)
-
     def test_hill_validation(self, rng):
         with pytest.raises((AnalysisError, ValidationError)):
             hill_estimator(rng.standard_normal(10))
@@ -133,30 +125,6 @@ class TestTails:
         samples = np.array([_pareto(rng, 1.4, 20.0) for _ in range(20_000)])
         alpha, __ = hill_estimator(samples, k=300)
         assert alpha == pytest.approx(1.4, rel=0.2)
-
-
-class TestOnOffGenerator:
-    def test_rate_bounded_by_sources(self):
-        rate = onoff_aggregate_rate(2048, n_sources=8,
-                                    rng=np.random.default_rng(8))
-        assert np.all(rate >= 0)
-        assert np.all(rate <= 8 + 1e-9)
-
-    def test_duty_cycle_approximate(self):
-        rate = onoff_aggregate_rate(2**13, n_sources=32, mean_on=10, mean_off=20,
-                                    rng=np.random.default_rng(9))
-        duty = np.mean(rate) / 32
-        assert duty == pytest.approx(1.0 / 3.0, abs=0.12)
-
-    def test_lrd_matches_taqqu(self):
-        rate = onoff_aggregate_rate(2**14, n_sources=32, shape=1.4,
-                                    rng=np.random.default_rng(10))
-        alpha = dfa(rate).alpha
-        assert alpha == pytest.approx(0.8, abs=0.12)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            onoff_aggregate_rate(100, shape=2.5)
 
 
 class TestCampaign:

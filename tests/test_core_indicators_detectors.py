@@ -7,7 +7,6 @@ from repro.core.detectors import (
     AgingAlarm,
     DetectorConfig,
     HolderVarianceDetector,
-    collapse_onset_estimate,
     detect_fractal_collapse,
 )
 from repro.core.holder import HolderTrajectory
@@ -163,11 +162,3 @@ class TestHolderVarianceDetector:
         ind = holder_variance_series(make_trajectory(h), window=100, step=4)
         alarm = HolderVarianceDetector().run(ind)
         assert alarm.fired
-
-
-class TestCollapseOnset:
-    def test_onset_close_to_truth(self, rng):
-        traj = synthetic_collapse_trajectory(rng, n_healthy=3000, n_sick=1000)
-        ind = holder_variance_series(traj, window=200, step=4)
-        onset = collapse_onset_estimate(ind)
-        assert 2700 < onset < 3400

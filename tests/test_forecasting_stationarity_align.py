@@ -1,18 +1,11 @@
-"""Tests for remaining-life forecasting, KPSS, and counter alignment."""
+"""Tests for remaining-life forecasting."""
 
 import numpy as np
 import pytest
 
 from repro.core import analyze_counter, fit_life_model, predict_remaining_life
 from repro.core.forecasting import LifeModel, _pava_nonincreasing
-from repro.exceptions import AnalysisError, ValidationError
-from repro.stats import kpss_test
-from repro.trace import (
-    TimeSeries,
-    align_series,
-    correlation_matrix,
-    lagged_correlation,
-)
+from repro.exceptions import ValidationError
 
 
 class TestPava:
@@ -103,87 +96,3 @@ class TestLifeModelOnFleet:
         indicator = analyze_counter(fleet[0].bundle["AvailableBytes"]).indicator
         with pytest.raises(ValidationError):
             fit_life_model([(indicator, None), (indicator, 100.0)])
-
-
-class TestKpss:
-    def test_white_noise_stationary(self, rng):
-        res = kpss_test(rng.standard_normal(1000))
-        assert not res.rejected_at_5pct
-        assert res.statistic < res.critical_values[0.05]
-
-    def test_random_walk_rejected(self, rng):
-        res = kpss_test(np.cumsum(rng.standard_normal(1000)))
-        assert res.rejected_at_5pct
-
-    def test_trend_null_absorbs_linear_trend(self, rng):
-        x = 0.05 * np.arange(1000.0) + rng.standard_normal(1000)
-        assert kpss_test(x, regression="level").rejected_at_5pct
-        assert not kpss_test(x, regression="trend").rejected_at_5pct
-
-    def test_default_bandwidth(self, rng):
-        res = kpss_test(rng.standard_normal(400))
-        assert res.lags == int(np.floor(12 * (400 / 100) ** 0.25))
-
-    def test_invalid_regression(self, rng):
-        with pytest.raises(ValidationError):
-            kpss_test(rng.standard_normal(100), regression="quadratic")
-
-    def test_aging_counter_nonstationary(self, nt4_run):
-        avail = nt4_run.bundle["AvailableBytes"].dropna()
-        res = kpss_test(avail.values[::4])
-        assert res.rejected_at_5pct
-
-
-class TestAlignment:
-    def test_inner_join_spans(self, rng):
-        a = TimeSeries.from_values(rng.standard_normal(100), dt=1.0, name="a")
-        b = TimeSeries(times=np.arange(10.0, 90.0, 2.0),
-                       values=rng.standard_normal(40), name="b")
-        aligned = align_series([a, b])
-        assert aligned[0].times[0] >= 10.0
-        assert aligned[0].times[-1] <= 88.0
-        assert len(aligned[0]) == len(aligned[1])
-        assert aligned[0].is_uniform
-
-    def test_no_overlap_rejected(self, rng):
-        a = TimeSeries.from_values(rng.standard_normal(10), t0=0.0)
-        b = TimeSeries.from_values(rng.standard_normal(10), t0=100.0, name="b")
-        with pytest.raises(AnalysisError, match="overlap"):
-            align_series([a, b])
-
-    def test_single_series_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            align_series([TimeSeries.from_values(rng.standard_normal(10))])
-
-    def test_correlation_matrix_self_unity(self, rng):
-        x = rng.standard_normal(200)
-        a = TimeSeries.from_values(x, name="a")
-        b = TimeSeries.from_values(x + 0.01 * rng.standard_normal(200), name="b")
-        names, mat = correlation_matrix([a, b])
-        assert names == ["a", "b"]
-        assert mat[0, 0] == pytest.approx(1.0)
-        assert mat[0, 1] > 0.95
-
-    def test_correlation_on_increments_removes_trend(self, rng):
-        t = np.arange(500.0)
-        a = TimeSeries.from_values(t + rng.standard_normal(500), name="a")
-        b = TimeSeries.from_values(t + rng.standard_normal(500), name="b")
-        __, level_corr = correlation_matrix([a, b], on_increments=False)
-        __, inc_corr = correlation_matrix([a, b], on_increments=True)
-        assert level_corr[0, 1] > 0.9        # trivial trend correlation
-        assert abs(inc_corr[0, 1]) < 0.2     # increments independent
-
-    def test_lagged_correlation_finds_lead(self, rng):
-        x = rng.standard_normal(2000)
-        lead = TimeSeries.from_values(x, name="lead")
-        lag5 = TimeSeries.from_values(np.roll(x, 5), name="lag")
-        lags, corr = lagged_correlation(lead, lag5, max_lag=10,
-                                        on_increments=False)
-        assert lags[np.argmax(corr)] == 5
-
-    def test_counters_of_run_alignable(self, nt4_run):
-        a = nt4_run.bundle["AvailableBytes"]
-        p = nt4_run.bundle["PagesPerSec"]
-        names, mat = correlation_matrix([a, p])
-        assert mat.shape == (2, 2)
-        assert np.all(np.abs(mat) <= 1.0 + 1e-12)

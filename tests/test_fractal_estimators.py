@@ -1,4 +1,4 @@
-"""Estimator validation: DFA, MFDFA, Hurst toolbox, structure functions.
+"""Estimator validation: DFA, MFDFA and the Hurst toolbox.
 
 These are the statistical guts of the reproduction: every estimator must
 recover known exponents from the synthetic generators.
@@ -15,10 +15,9 @@ from repro.fractal import (
     mfdfa,
     periodogram_gph,
     rs_analysis,
-    structure_functions,
     wavelet_variance_hurst,
 )
-from repro.generators import arfima, fbm, fgn, mrw, mrw_tau
+from repro.generators import fbm, fgn, mrw, mrw_tau
 
 
 class TestDfa:
@@ -38,10 +37,6 @@ class TestDfa:
         res2 = dfa(x, integrate=True)
         assert res2.alpha == pytest.approx(1.6, abs=0.12)
         assert res.alpha == pytest.approx(0.6, abs=0.12)
-
-    def test_arfima_hurst(self):
-        x = arfima(2**14, 0.25, rng=np.random.default_rng(1))
-        assert dfa(x).alpha == pytest.approx(0.75, abs=0.08)
 
     def test_stderr_positive(self):
         x = fgn(2**12, 0.6, rng=np.random.default_rng(2))
@@ -161,36 +156,3 @@ class TestHurstToolbox:
     def test_short_series_rejected(self):
         with pytest.raises((AnalysisError, ValidationError)):
             rs_analysis(np.random.default_rng(0).standard_normal(32))
-
-
-class TestStructureFunctions:
-    def test_fbm_linear_zeta(self):
-        x = fbm(2**14, 0.6, rng=np.random.default_rng(0))
-        res = structure_functions(x, q=np.arange(0.5, 3.01, 0.5))
-        # zeta(q) = qH for monofractal paths (high q sags from the
-        # slow convergence of Gaussian absolute moments).
-        np.testing.assert_allclose(res.zeta, res.q * 0.6, atol=0.2)
-        assert res.linearity_defect < 0.25
-
-    def test_mrw_concave_zeta(self):
-        x = mrw(2**15, 0.4, rng=np.random.default_rng(1))
-        res = structure_functions(x, q=np.arange(0.5, 5.01, 0.5))
-        # Strict concavity: zeta(4)/4 < zeta(1)/1.
-        z1 = res.zeta[np.argmin(np.abs(res.q - 1))]
-        z4 = res.zeta[np.argmin(np.abs(res.q - 4))]
-        assert z4 / 4 < z1 - 0.05
-
-    def test_negative_q_rejected(self):
-        x = fbm(2**10, 0.5, rng=np.random.default_rng(2))
-        with pytest.raises(ValidationError):
-            structure_functions(x, q=[-1.0, 1.0])
-
-    def test_sq_shape(self):
-        x = fbm(2**11, 0.5, rng=np.random.default_rng(3))
-        res = structure_functions(x, q=[1.0, 2.0, 3.0])
-        assert res.sq.shape == (3, res.lags.size)
-
-    def test_bad_lags(self):
-        x = fbm(2**10, 0.5, rng=np.random.default_rng(4))
-        with pytest.raises(ValidationError):
-            structure_functions(x, lags=[0, 5, 10])

@@ -5,14 +5,10 @@ import pytest
 
 from repro.exceptions import AnalysisError, ValidationError
 from repro.generators import (
-    arfima,
     binomial_cascade,
     binomial_cascade_tau,
-    cantor_staircase,
     fbm,
     fgn,
-    lognormal_cascade,
-    lognormal_cascade_tau,
     mrw,
     mrw_tau,
     weierstrass,
@@ -81,44 +77,6 @@ class TestFbm:
         assert ratio == pytest.approx(4.0 ** (2 * H), rel=0.35)
 
 
-class TestArfima:
-    def test_length(self, rng):
-        assert arfima(1000, 0.3, rng=rng).size == 1000
-
-    def test_d_zero_limit_is_white(self):
-        rng = np.random.default_rng(3)
-        x = arfima(2**13, 1e-9, rng=rng)
-        lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-        assert abs(lag1) < 0.05
-
-    def test_positive_d_has_positive_memory(self):
-        rng = np.random.default_rng(4)
-        x = arfima(2**13, 0.4, rng=rng)
-        lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-        assert lag1 > 0.2
-
-    def test_negative_d_antipersistent(self):
-        rng = np.random.default_rng(5)
-        x = arfima(2**13, -0.3, rng=rng)
-        lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
-        assert lag1 < -0.1
-
-    def test_student_innovations_heavier_tails(self):
-        g = arfima(2**13, 0.2, rng=np.random.default_rng(6))
-        s = arfima(2**13, 0.2, rng=np.random.default_rng(6), innovations="student")
-        kurt_g = np.mean(g**4) / np.var(g) ** 2
-        kurt_s = np.mean(s**4) / np.var(s) ** 2
-        assert kurt_s > kurt_g
-
-    def test_invalid_d(self, rng):
-        with pytest.raises(ValidationError):
-            arfima(100, 0.5, rng=rng)
-
-    def test_invalid_innovations(self, rng):
-        with pytest.raises(ValidationError):
-            arfima(100, 0.1, rng=rng, innovations="cauchy")
-
-
 class TestBinomialCascade:
     def test_mass_conserved(self, rng):
         mu = binomial_cascade(10, 0.7, rng=rng)
@@ -153,25 +111,6 @@ class TestBinomialCascade:
     def test_invalid_p(self, rng):
         with pytest.raises(ValidationError):
             binomial_cascade(5, 1.0, rng=rng)
-
-
-class TestLognormalCascade:
-    def test_normalised(self, rng):
-        mu = lognormal_cascade(12, 0.3, rng=rng)
-        assert mu.sum() == pytest.approx(1.0)
-        assert np.all(mu >= 0)
-
-    def test_lam_zero_is_uniform(self, rng):
-        mu = lognormal_cascade(8, 0.0, rng=rng)
-        np.testing.assert_allclose(mu, 1.0 / 256, rtol=1e-9)
-
-    def test_tau_properties(self):
-        q = np.linspace(-4, 4, 17)
-        tau = lognormal_cascade_tau(q, 0.4)
-        assert tau[np.argmin(np.abs(q))] == pytest.approx(-1.0)
-        assert tau[np.argmin(np.abs(q - 1))] == pytest.approx(0.0)
-        # Concavity: second differences non-positive.
-        assert np.all(np.diff(tau, 2) < 1e-9)
 
 
 class TestMrw:
@@ -219,19 +158,3 @@ class TestDeterministicSignals:
     def test_weierstrass_invalid_gamma(self):
         with pytest.raises(ValidationError):
             weierstrass(100, 0.5, gamma=0.9)
-
-    def test_cantor_monotone_zero_to_one(self):
-        c = cantor_staircase(8)
-        assert c[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(c) >= 0)
-        assert c.size == 3**8
-
-    def test_cantor_flat_in_middle_third(self):
-        c = cantor_staircase(6)
-        n = c.size
-        middle = c[n // 3: 2 * n // 3 - 1]
-        assert np.all(np.diff(middle) == 0)
-
-    def test_cantor_depth_guard(self):
-        with pytest.raises(ValidationError):
-            cantor_staircase(20)

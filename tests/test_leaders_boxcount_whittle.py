@@ -1,17 +1,11 @@
-"""Tests for wavelet leaders, box-counting dimensions and local Whittle."""
+"""Tests for wavelet leaders."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError, ValidationError
-from repro.fractal import (
-    boxcount_dimension,
-    generalized_dimensions,
-    wavelet_leader_analysis,
-    wavelet_leaders,
-)
-from repro.generators import binomial_cascade, fbm, fgn, mrw, weierstrass
-from repro.stats import local_whittle
+from repro.fractal import wavelet_leader_analysis, wavelet_leaders
+from repro.generators import fbm, mrw, weierstrass
 
 
 class TestWaveletLeaders:
@@ -72,75 +66,3 @@ class TestWaveletLeaders:
         x = fbm(2**12, 0.5, rng=np.random.default_rng(6))
         res = wavelet_leader_analysis(x)
         assert np.all(np.diff(res.levels) == 1)
-
-
-class TestBoxcount:
-    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
-    def test_fbm_graph_dimension(self, hurst):
-        x = fbm(2**14, hurst, rng=np.random.default_rng(int(hurst * 10)))
-        dim, err, fit = boxcount_dimension(x)
-        assert dim == pytest.approx(2.0 - hurst, abs=0.2)
-        assert fit.r_squared > 0.95
-
-    def test_smooth_curve_dimension_one(self):
-        t = np.linspace(0, 1, 4096)
-        dim, __, __ = boxcount_dimension(np.sin(2 * np.pi * t))
-        assert dim == pytest.approx(1.0, abs=0.1)
-
-    def test_rougher_means_higher_dimension(self):
-        smooth = fbm(2**13, 0.8, rng=np.random.default_rng(1))
-        rough = fbm(2**13, 0.2, rng=np.random.default_rng(1))
-        d_smooth, __, __ = boxcount_dimension(smooth)
-        d_rough, __, __ = boxcount_dimension(rough)
-        assert d_rough > d_smooth + 0.3
-
-    def test_constant_rejected(self):
-        with pytest.raises(AnalysisError):
-            boxcount_dimension(np.ones(1024))
-
-    def test_bad_exponent_range(self, rng):
-        with pytest.raises(ValidationError):
-            boxcount_dimension(rng.standard_normal(256), min_exponent=5,
-                               max_exponent=3)
-
-
-class TestGeneralizedDimensions:
-    def test_uniform_measure_flat(self):
-        q, dims = generalized_dimensions(np.full(1024, 1.0 / 1024))
-        np.testing.assert_allclose(dims, 1.0, atol=1e-6)
-
-    def test_cascade_decreasing(self, rng):
-        mu = binomial_cascade(14, 0.7, rng=rng)
-        q, dims = generalized_dimensions(mu, q=np.array([-2.0, 0.0, 2.0]))
-        assert dims[0] > dims[1] > dims[2]
-        # D0 (capacity dimension of the support) is 1 for a cascade.
-        assert dims[1] == pytest.approx(1.0, abs=0.05)
-
-    def test_information_dimension_at_q1(self, rng):
-        mu = binomial_cascade(12, 0.6, rng=rng)
-        q, dims = generalized_dimensions(mu, q=np.array([1.0]))
-        p = 0.6
-        # D1 = -(p log2 p + (1-p) log2 (1-p)) for the binomial measure.
-        d1_theory = -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
-        assert dims[0] == pytest.approx(d1_theory, abs=0.05)
-
-
-class TestLocalWhittle:
-    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7, 0.9])
-    def test_recovers_fgn(self, hurst):
-        x = fgn(2**14, hurst, rng=np.random.default_rng(int(hurst * 100)))
-        assert local_whittle(x) == pytest.approx(hurst, abs=0.08)
-
-    def test_short_series_rejected(self, rng):
-        with pytest.raises((AnalysisError, ValidationError)):
-            local_whittle(rng.standard_normal(64))
-
-    def test_constant_rejected(self):
-        with pytest.raises(AnalysisError):
-            local_whittle(np.ones(1024))
-
-    def test_bandwidth_effect(self):
-        x = fgn(2**14, 0.7, rng=np.random.default_rng(9))
-        wide = local_whittle(x, bandwidth_exponent=0.8)
-        narrow = local_whittle(x, bandwidth_exponent=0.5)
-        assert abs(wide - 0.7) < 0.15 and abs(narrow - 0.7) < 0.15

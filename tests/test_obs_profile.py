@@ -217,23 +217,23 @@ class TestHotPathIntegration:
         assert "simkernel.run_until" in snap["hotpaths"]
 
     def test_fractal_estimators_profiled(self):
+        from repro.core.holder import wavelet_holder
         from repro.fractal.mfdfa import mfdfa
         from repro.fractal.sliding import sliding_mfdfa
-        from repro.fractal.wtmm import wtmm
         from repro.generators import fbm, fgn
         from repro.trace import TimeSeries
 
         rng = np.random.default_rng(1)
         with obs.telemetry_session(profile=True) as session:
             mfdfa(fgn(2048, 0.7, rng=rng))
-            wtmm(fbm(1024, 0.6, rng=rng))
+            wavelet_holder(fbm(1024, 0.6, rng=rng))
             ts = TimeSeries.from_values(
                 np.cumsum(fgn(2048, 0.7, rng=rng)), name="s")
             sliding_mfdfa(ts, window=512, step=512)
             snap = session.profiler.snapshot()
         hotpaths = snap["hotpaths"]
-        assert {"fractal.mfdfa", "fractal.wtmm",
-                "fractal.sliding_mfdfa", "fractal.cwt"} <= set(hotpaths)
+        assert {"fractal.mfdfa", "fractal.sliding_mfdfa",
+                "fractal.cwt"} <= set(hotpaths)
         # sliding calls mfdfa once per window on top of the direct call
         assert hotpaths["fractal.mfdfa"]["calls"] > 1
 

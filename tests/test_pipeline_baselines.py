@@ -6,7 +6,7 @@ import pytest
 import repro.baselines.trend as trend_module
 from repro.analysis import ExperimentSpec, evaluate_detector
 from repro.analysis.detector_registry import split_peak_scores
-from repro.baselines import RawThresholdDetector, TrendExhaustionDetector, predict_exhaustion_time
+from repro.baselines import RawThresholdDetector, TrendExhaustionDetector
 from repro.core import AgingReport, analyze_counter, analyze_run
 from repro.core.detectors import DetectorConfig
 from repro.core.holder import wavelet_holder
@@ -103,13 +103,14 @@ class TestTrendBaseline:
     def test_predict_exhaustion_linear(self):
         t = np.arange(0.0, 1000.0)
         v = 1000.0 - 1.0 * t
-        pred = predict_exhaustion_time(t, v)
+        pred, slope = trend_module._sen_extrapolation(t, v, 0.0)
         assert pred == pytest.approx(1000.0, abs=5.0)
+        assert slope == pytest.approx(-1.0)
 
     def test_no_prediction_without_depletion(self):
         t = np.arange(0.0, 500.0)
         v = 100.0 + 0.5 * t
-        assert predict_exhaustion_time(t, v) is None
+        assert trend_module._sen_extrapolation(t, v, 0.0) is None
 
     def test_detects_depletion_on_crash_run(self, nt4_run):
         det = TrendExhaustionDetector(window_seconds=3600.0, step_seconds=600.0,
@@ -235,8 +236,9 @@ def _reference_steps(det, ts):
                                  alpha=det.alpha).trend == "decreasing"):
             slope = sen_slope(window.times, window.values)
             if slope < 0:
-                fit = (predict_exhaustion_time(window.times, window.values,
-                                               floor=det.floor), slope)
+                level = float(np.median(window.values))
+                anchor = float(np.median(window.times))
+                fit = (anchor + (det.floor - level) / slope, slope)
         steps.append((now, fit))
         now += det.step_seconds
     return steps

@@ -9,7 +9,6 @@ from repro.core.indicators import windowed_moments
 from repro.core.holder import HolderTrajectory
 from repro.fractal import iaaft, phase_randomized, shuffle
 from repro.report import render_series
-from repro.stats import kpss_test
 from repro.trace import TimeSeries, TraceBundle, read_csv, write_csv
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -92,24 +91,6 @@ class TestSurrogateProperties:
         x = rng.exponential(2.0, size=128)
         s = iaaft(x, rng=rng)
         np.testing.assert_allclose(np.sort(s), np.sort(x))
-
-
-class TestKpssProperties:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000))
-    def test_statistic_positive(self, seed):
-        x = np.random.default_rng(seed).standard_normal(200)
-        res = kpss_test(x)
-        assert res.statistic > 0
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(min_value=0, max_value=10_000),
-           st.floats(min_value=1.0, max_value=100.0))
-    def test_scale_invariance(self, seed, factor):
-        x = np.random.default_rng(seed).standard_normal(200)
-        a = kpss_test(x).statistic
-        b = kpss_test(factor * x).statistic
-        assert a == pytest.approx(b, rel=1e-6)
 
 
 class TestRenderSeriesProperty:

@@ -1,5 +1,8 @@
 """Contract tests for the public API surface and exception hierarchy."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
@@ -45,14 +48,14 @@ class TestTopLevelExports:
         assert int(major) >= 1
 
     def test_subpackage_alls_resolve(self):
-        import repro.core as core
-        import repro.fractal as fractal
-        import repro.generators as generators
-        import repro.memsim as memsim
-        import repro.stats as stats
-        import repro.trace as trace
-
-        for module in (core, fractal, generators, memsim, stats, trace):
+        # Every subpackage, found on disk, so a stale __all__ entry left
+        # behind by a deleted name fails here whichever package it is in.
+        subpackages = [info.name for info in pkgutil.iter_modules(repro.__path__)
+                       if info.ispkg]
+        assert len(subpackages) >= 13
+        for sub in subpackages:
+            module = importlib.import_module(f"repro.{sub}")
+            assert module.__all__, module.__name__
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 

@@ -1,4 +1,4 @@
-"""Tests for partition functions, Legendre spectra and WTMM."""
+"""Tests for partition functions and Legendre spectra."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.fractal import (
     mfdfa,
     partition_function_tau,
     spectrum_width,
-    wtmm,
+    wavelet_leader_analysis,
 )
 from repro.generators import (
     binomial_cascade,
@@ -17,8 +17,6 @@ from repro.generators import (
     fbm,
     fgn,
     mrw,
-    mrw_tau,
-    weierstrass,
 )
 
 
@@ -95,62 +93,25 @@ class TestLegendreSpectrum:
         tau = 0.5 * q - 1.0
         assert spectrum_width(q, tau) < 1e-9
 
-
-class TestWtmm:
-    @pytest.mark.parametrize("hurst", [0.4, 0.6, 0.8])
-    def test_fbm_tau_linear(self, hurst):
-        x = fbm(2**15, hurst, rng=np.random.default_rng(int(hurst * 10)))
-        res = wtmm(x, q=np.linspace(-1, 3, 9))
-        for q_target in (1.0, 2.0):
-            idx = int(np.argmin(np.abs(res.q - q_target)))
-            assert res.tau[idx] == pytest.approx(q_target * hurst - 1.0, abs=0.12)
-
-    def test_weierstrass_uniform_h(self):
-        w = weierstrass(2**14, 0.5)
-        res = wtmm(w, q=np.linspace(0, 3, 7))
-        idx = int(np.argmin(np.abs(res.q - 2)))
-        assert res.tau[idx] == pytest.approx(0.0, abs=0.15)
-
-    def test_mrw_concave_tau(self):
-        lam = 0.3
-        x = mrw(2**15, lam, rng=np.random.default_rng(11))
-        res = wtmm(x, q=np.linspace(-1, 3, 9))
-        theory = mrw_tau(res.q, lam)
-        assert np.max(np.abs(res.tau - theory)) < 0.2
-
     def test_monofractal_vs_multifractal_width(self):
         bm = fbm(2**14, 0.5, rng=np.random.default_rng(12))
         mf = mrw(2**14, 0.45, rng=np.random.default_rng(12))
-        w_bm = spectrum_width(*_wtmm_tau(bm))
-        w_mf = spectrum_width(*_wtmm_tau(mf))
+        w_bm = spectrum_width(*_mfdfa_tau(bm))
+        w_mf = spectrum_width(*_mfdfa_tau(mf))
         assert w_mf > w_bm + 0.1
 
-    def test_n_lines_reported(self):
-        x = fbm(2**13, 0.6, rng=np.random.default_rng(13))
-        res = wtmm(x)
-        assert res.n_lines > 10
 
-    def test_too_short_rejected(self, rng):
-        with pytest.raises((AnalysisError, ValidationError)):
-            wtmm(rng.standard_normal(64))
-
-    def test_scales_must_increase(self, rng):
-        with pytest.raises(ValidationError):
-            wtmm(rng.standard_normal(1024), scales=[8.0, 4.0, 2.0, 16.0])
-
-
-def _wtmm_tau(x):
-    res = wtmm(x, q=np.linspace(-2, 3, 11))
+def _mfdfa_tau(path):
+    res = mfdfa(np.diff(path), q=np.linspace(-2, 3, 11))
     return res.q, res.tau
 
 
 class TestCrossMethodConsistency:
-    def test_mfdfa_and_wtmm_agree_on_hurst(self):
+    def test_mfdfa_and_leaders_agree_on_hurst(self):
         x = fbm(2**14, 0.7, rng=np.random.default_rng(14))
-        res_w = wtmm(x, q=np.linspace(0, 3, 7))
+        res_l = wavelet_leader_analysis(x)
         res_m = mfdfa(np.diff(x), q=np.linspace(0.5, 3, 6))
-        h_w = (res_w.tau[np.argmin(np.abs(res_w.q - 2))] + 1) / 2
-        assert h_w == pytest.approx(res_m.hurst, abs=0.12)
+        assert res_l.c1 == pytest.approx(res_m.hurst, abs=0.12)
 
     def test_fgn_spectrum_narrower_than_cascade(self, rng):
         noise = fgn(2**14, 0.7, rng=rng)

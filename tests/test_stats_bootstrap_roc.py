@@ -1,52 +1,10 @@
-"""Unit tests for block bootstrap and ROC scoring."""
+"""Unit tests for detection scoring and ROC curves."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError, ValidationError
-from repro.stats import auc, block_bootstrap_ci, roc_curve, score_detections
-
-
-class TestBlockBootstrap:
-    def test_mean_ci_covers_truth(self, rng):
-        x = 5.0 + rng.standard_normal(400)
-        point, lo, hi = block_bootstrap_ci(x, np.mean, n_resamples=300, rng=rng)
-        assert lo < 5.0 < hi
-        assert point == pytest.approx(5.0, abs=0.2)
-
-    def test_interval_widens_with_confidence(self, rng):
-        x = rng.standard_normal(300)
-        _, lo90, hi90 = block_bootstrap_ci(x, np.mean, confidence=0.90, rng=rng)
-        _, lo99, hi99 = block_bootstrap_ci(x, np.mean, confidence=0.99, rng=rng)
-        assert (hi99 - lo99) > (hi90 - lo90)
-
-    def test_dependent_series_wider_than_iid_naive(self, rng):
-        # Strongly autocorrelated series: block bootstrap should produce a
-        # wider interval than tiny blocks (which destroy the dependence).
-        n = 600
-        e = rng.standard_normal(n)
-        x = np.empty(n)
-        x[0] = e[0]
-        for i in range(1, n):
-            x[i] = 0.9 * x[i - 1] + e[i]
-        _, lo_small, hi_small = block_bootstrap_ci(
-            x, np.mean, block_length=2, n_resamples=400, rng=np.random.default_rng(9))
-        _, lo_big, hi_big = block_bootstrap_ci(
-            x, np.mean, block_length=60, n_resamples=400, rng=np.random.default_rng(9))
-        assert (hi_big - lo_big) > (hi_small - lo_small)
-
-    def test_block_length_bounds(self, rng):
-        with pytest.raises(AnalysisError):
-            block_bootstrap_ci(rng.standard_normal(20), np.mean, block_length=25)
-
-    def test_bad_confidence(self, rng):
-        with pytest.raises(ValidationError):
-            block_bootstrap_ci(rng.standard_normal(50), np.mean, confidence=1.0)
-
-    def test_nonfinite_statistic_rejected(self, rng):
-        with pytest.raises(AnalysisError):
-            block_bootstrap_ci(
-                rng.standard_normal(50), lambda a: float("nan"), rng=rng)
+from repro.stats import auc, roc_curve, score_detections
 
 
 class TestScoreDetections:

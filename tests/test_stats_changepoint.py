@@ -1,11 +1,10 @@
-"""Unit tests for CUSUM, EWMA and offline changepoint location."""
+"""Unit tests for the CUSUM and EWMA control charts."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import AnalysisError
-from repro.stats import CusumDetector, EwmaDetector, find_single_changepoint
-from repro.stats.changepoint import detect_level_jumps
+from repro.stats import CusumDetector, EwmaDetector
 
 
 def shifted_series(rng, n_before=200, n_after=100, shift=3.0):
@@ -110,38 +109,3 @@ class TestEwma:
     def test_use_before_calibrate_raises(self):
         with pytest.raises(AnalysisError):
             EwmaDetector().update(1.0)
-
-
-class TestOfflineChangepoint:
-    def test_locates_mean_shift(self, rng):
-        x = np.concatenate([rng.standard_normal(150), 4.0 + rng.standard_normal(150)])
-        tau = find_single_changepoint(x)
-        assert 140 <= tau <= 160
-
-    def test_min_segment_respected(self, rng):
-        x = rng.standard_normal(40)
-        tau = find_single_changepoint(x, min_segment=15)
-        assert 15 <= tau <= 25
-
-    def test_too_short_rejected(self):
-        with pytest.raises(AnalysisError):
-            find_single_changepoint(np.arange(8.0), min_segment=5)
-
-    def test_shift_at_known_index(self):
-        x = np.concatenate([np.zeros(50), np.ones(50)])
-        assert find_single_changepoint(x) == 50
-
-
-class TestLevelJumps:
-    def test_flags_spike(self, rng):
-        x = rng.standard_normal(200)
-        x[120] += 25.0
-        jumps = detect_level_jumps(x, window=30, z_threshold=5.0)
-        assert 120 in jumps
-
-    def test_quiet_series_no_jumps(self, rng):
-        x = rng.standard_normal(200)
-        assert detect_level_jumps(x, window=30, z_threshold=8.0) == []
-
-    def test_short_series_empty(self, rng):
-        assert detect_level_jumps(rng.standard_normal(10), window=20) == []

@@ -150,6 +150,19 @@ class TestPerfmonImport:
         times = bundle["AvailableBytes"].times
         assert times[1] > times[0]
 
+    def test_backwards_timestamp_rejected(self, tmp_path):
+        # A log across a DST fall-back: the clock steps back an hour.
+        path = tmp_path / "dst.csv"
+        path.write_text(
+            '"t","\\\\S\\M\\Available Bytes"\n'
+            '"10/27/2002 01:59:58.000","1"\n'
+            '"10/27/2002 01:59:59.000","2"\n'
+            '"10/27/2002 01:00:00.000","3"\n'
+            '"10/27/2002 01:00:01.000","4"\n'
+        )
+        with pytest.raises(TraceError, match="line 4.*earlier"):
+            read_perfmon_csv(path)
+
 
 class TestBatchWorkload:
     def _make(self, period=100.0, pages=500, run_time=10.0):

@@ -11,8 +11,6 @@ from repro.trace import (
     fill_gaps,
     resample_uniform,
     segment,
-    sliding_windows,
-    standardize,
 )
 
 
@@ -69,17 +67,6 @@ class TestDifference:
     def test_too_short(self):
         with pytest.raises(AnalysisError):
             difference(make([1.0]), order=1)
-
-
-class TestStandardize:
-    def test_zero_mean_unit_var(self):
-        out = standardize(make([1.0, 2.0, 3.0, 4.0]))
-        assert abs(np.mean(out.values)) < 1e-12
-        assert abs(np.std(out.values) - 1.0) < 1e-12
-
-    def test_constant_rejected(self):
-        with pytest.raises(AnalysisError, match="constant"):
-            standardize(make([5.0, 5.0, 5.0]))
 
 
 class TestFillGaps:
@@ -140,25 +127,3 @@ class TestSegment:
     def test_too_many_segments(self):
         with pytest.raises(ValidationError):
             segment(make([1.0, 2.0]), 3)
-
-
-class TestSlidingWindows:
-    def test_counts_and_alignment(self):
-        ts = make(np.arange(10.0))
-        wins = list(sliding_windows(ts, window=4, step=2))
-        assert len(wins) == 4
-        t_right, first = wins[0]
-        assert t_right == 3.0
-        np.testing.assert_allclose(first.values, [0, 1, 2, 3])
-
-    def test_step_one_dense(self):
-        wins = list(sliding_windows(make(np.arange(6.0)), window=3))
-        assert len(wins) == 4
-
-    def test_window_larger_than_series_yields_nothing(self):
-        assert list(sliding_windows(make([1.0, 2.0]), window=5)) == []
-
-    def test_right_edge_time_is_causal(self):
-        ts = make(np.arange(8.0), dt=2.0)
-        for t_right, win in sliding_windows(ts, window=3):
-            assert t_right == win.times[-1]

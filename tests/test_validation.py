@@ -9,7 +9,6 @@ from repro._validation import (
     check_choice,
     check_finite,
     check_in_range,
-    check_increasing,
     check_nonnegative,
     check_positive,
     check_positive_int,
@@ -136,20 +135,3 @@ class TestChoice:
     def test_rejects(self):
         with pytest.raises(ValidationError, match="must be one of"):
             check_choice("c", name="x", choices=("a", "b"))
-
-
-class TestIncreasing:
-    def test_strict_ok(self):
-        out = check_increasing([1, 2, 3], name="x")
-        assert out.tolist() == [1, 2, 3]
-
-    def test_strict_rejects_ties(self):
-        with pytest.raises(ValidationError):
-            check_increasing([1, 1, 2], name="x")
-
-    def test_nonstrict_accepts_ties(self):
-        check_increasing([1, 1, 2], name="x", strict=False)
-
-    def test_nonstrict_rejects_decrease(self):
-        with pytest.raises(ValidationError):
-            check_increasing([2, 1], name="x", strict=False)
