@@ -1,9 +1,11 @@
 """Setup shim.
 
-This environment has no network access and no `wheel` package, so PEP 517
-editable installs (which need bdist_wheel) fail.  This shim lets
-``pip install -e . --no-build-isolation --no-use-pep517`` take the legacy
-develop path.  All real metadata lives in pyproject.toml.
+All real metadata lives in pyproject.toml, and ``pip install -e .``
+builds the package from it.  Offline with no ``wheel`` installed, no
+pip install path works (PEP 517 needs ``bdist_wheel``, and pip 23.2
+refuses ``--no-use-pep517`` without ``wheel``); run from the checkout
+with ``PYTHONPATH=src`` instead, e.g. ``PYTHONPATH=src python -m repro
+validate``.
 """
 
 from setuptools import setup

@@ -124,6 +124,12 @@ from .obs import LOG_LEVELS
 _SIM_PROFILES = ("nt4", "w2k")
 
 
+#: The parser :func:`main` reuses, built on first use: every default is
+#: immutable and ``parse_args`` returns a fresh namespace, so one tree
+#: serves any number of in-process calls.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     from .memsim.scenarios import SCENARIO_NAMES
@@ -470,12 +476,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     """Analyse one counter of a trace file."""
     from .core import analyze_counter
     from .core.detectors import DetectorConfig
+    from .exceptions import TraceError
     from .trace import read_bundle
 
-    bundle = read_bundle(args.trace)
-    if args.counter not in bundle:
-        print(f"error: no counter {args.counter!r} in {args.trace}; "
-              f"available: {bundle.names}", file=sys.stderr)
+    try:
+        bundle = read_bundle(args.trace, counters=[args.counter])
+    except TraceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     analysis = analyze_counter(
         bundle[args.counter],
@@ -1128,7 +1135,8 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
             print(f"replaying {args.trace} ({args.counter})...")
             try:
-                end = watcher.replay(read_bundle(args.trace))
+                end = watcher.replay(
+                    read_bundle(args.trace, counters=[args.counter]))
             except ReproError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
@@ -1320,7 +1328,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     from . import obs
 
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
         "analyze": cmd_analyze,

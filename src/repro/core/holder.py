@@ -156,10 +156,9 @@ def _modulus_slopes(x: np.ndarray, scales: np.ndarray, dog_order: int,
     modulus = np.abs(cwt(x, scales, wavelet="dog", dog_order=dog_order))
 
     if cone_supremum:
-        for j, a in enumerate(scales):
-            half = max(int(round(a)), 1)
-            modulus[j] = _rolling_max(modulus[j], half)
-    if tail is not None:
+        halves = [max(int(round(a)), 1) for a in scales]
+        modulus = _window_extrema(modulus, halves, np.maximum, tail=tail)
+    elif tail is not None:
         modulus = modulus[:, -tail:]
 
     # Floor the modulus: exact zeros happen on locally polynomial stretches.
@@ -199,10 +198,10 @@ def oscillation_holder(
         raise ValidationError(f"largest radius {radii_arr[-1]} too big for length {x.size}")
 
     tiny = np.finfo(float).tiny
-    log_osc = np.empty((radii_arr.size, x.size))
-    for i, r in enumerate(radii_arr):
-        osc = _rolling_max(x, int(r)) - _rolling_min(x, int(r))
-        log_osc[i] = np.log2(np.maximum(osc, tiny))
+    rows = np.broadcast_to(x, (radii_arr.size, x.size))
+    osc = (_window_extrema(rows, radii_arr, np.maximum)
+           - _window_extrema(rows, radii_arr, np.minimum))
+    log_osc = np.log2(np.maximum(osc, tiny))
     log_r = np.log2(radii_arr.astype(float))
     lr = log_r - log_r.mean()
     denom = np.sum(lr**2)
@@ -273,41 +272,55 @@ def holder_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# Rolling extrema (O(n) monotonic-deque implementations)
+# Windowed extrema (one sparse-table kernel for every row and width)
 # ---------------------------------------------------------------------------
 
 
-def _rolling_max(x: np.ndarray, half_window: int) -> np.ndarray:
-    """Centered rolling maximum with window ``[i - half, i + half]``."""
-    return _rolling_extremum(x, half_window, np.maximum)
+def _window_extrema(rows, halves, op, *, tail=None) -> np.ndarray:
+    """Centred window max (``op=np.maximum``) or min (``np.minimum``) of
+    each row: ``out[j, i] = op`` over ``rows[j, i - halves[j] : i +
+    halves[j] + 1]``, the window clipped to the row.
 
+    One kernel answers every row and half width.  Power-of-two window
+    extrema are built once, in place, over a copy of the rows padded
+    with the operation's identity (``-inf`` for max, ``+inf`` for min,
+    which is the same as clipping the window); rows are visited in
+    half-width order, so each doubling step touches only the rows that
+    still need a wider window.  Row ``j`` is then answered by two
+    overlapping power-of-two windows that together cover exactly its
+    centred window.  Only the last ``tail`` columns are computed when
+    given (all of them otherwise).  A max or min is exact in any
+    order, so the result equals the brute-force clipped-window scan
+    bit for bit.
 
-def _rolling_min(x: np.ndarray, half_window: int) -> np.ndarray:
-    """Centered rolling minimum with window ``[i - half, i + half]``."""
-    return _rolling_extremum(x, half_window, np.minimum)
-
-
-def _rolling_extremum(x: np.ndarray, half_window: int, op) -> np.ndarray:
-    """Centered rolling max/min via the two-pass block-scan trick.
-
-    Runs in O(n log w) using repeated shifted reductions — plenty fast in
-    numpy, and branch-free.
+    ``rows`` is read, never written (a broadcast view is fine).
     """
-    if half_window < 1:
-        return x.copy()
-    out = x.copy()
-    shift = 1
-    remaining = half_window
-    # Doubling trick: combine with shifts 1, 2, 4, ... both directions.
-    while remaining > 0:
-        step = min(shift, remaining)
-        left = np.empty_like(out)
-        left[step:] = out[:-step]
-        left[:step] = out[0]
-        right = np.empty_like(out)
-        right[:-step] = out[step:]
-        right[-step:] = out[-1]
-        out = op(op(out, left), right)
-        remaining -= step
-        shift *= 2
+    rows = np.asarray(rows, dtype=float)
+    n_rows, n = rows.shape
+    n_out = n if tail is None else min(int(tail), n)
+    # A half width of n - 1 already covers the whole row.
+    halves = [min(int(h), n - 1) for h in halves]
+    order = sorted(range(n_rows), key=halves.__getitem__)
+    pad = halves[order[-1]]
+    # Table row k holds rows[order[k]]; table column m is row column lo + m.
+    lo = n - n_out - pad
+    width = n_out + 2 * pad
+    table = np.full((n_rows, width), -np.inf if op is np.maximum else np.inf)
+    first = max(lo, 0)
+    table[:, first - lo:n - lo] = rows[order, first:]
+
+    out = np.empty((n_rows, n_out))
+    level = 0  # table[k, m] is op over table columns [m, m + 2**level)
+    for k, j in enumerate(order):
+        h = halves[j]
+        while (2 * h + 1) >> (level + 1):
+            span = 1 << level
+            live = table[k:]
+            op(live[:, :width - span], live[:, span:],
+               out=live[:, :width - span])
+            level += 1
+        left = pad - h
+        right = pad + h - (1 << level) + 1
+        op(table[k, left:left + n_out], table[k, right:right + n_out],
+           out=out[j])
     return out

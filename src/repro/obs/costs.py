@@ -15,7 +15,7 @@ did the wall time go":
   simulation), ``cwt-holder`` (the wavelet transform + Hölder
   trajectory), ``analysis`` (preprocess/indicator/detector, and each
   detector family's scoring of a campaign run), ``trace-io`` (trace
-  collection and writes) and ``pool-overhead`` (pool scheduling,
+  collection, reads and writes) and ``pool-overhead`` (pool scheduling,
   worker glue) — with unmatched names inheriting the
   nearest classified ancestor, else ``other``,
 * per worker (``attrs.worker_ordinal``; local spans pool under
@@ -66,6 +66,7 @@ _PHASE_BY_SPAN = {
     "shard-simulate": "simulate",
     "machine-collect": "trace-io",
     "write-trace": "trace-io",
+    "read-trace": "trace-io",
     "campaign-pool": "pool-overhead",
     "campaign-worker": "pool-overhead",
     "cell-run": "pool-overhead",

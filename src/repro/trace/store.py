@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
 import numpy as np
 
 from ..exceptions import TraceError
+from ..obs import session as _obs
 from ..obs.atomic import atomic_write, atomic_write_json
 from .io import read_csv, validate_metadata, write_csv
 from .series import TimeSeries, TraceBundle
@@ -201,11 +202,13 @@ class ColumnarStore:
             )
         return self._cache[name]
 
-    def bundle(self) -> TraceBundle:
-        """View the whole store as a :class:`TraceBundle` of memory-mapped
-        series (columns still load lazily from the page cache)."""
+    def bundle(self, counters: Optional[Iterable[str]] = None) -> TraceBundle:
+        """View the store as a :class:`TraceBundle` of memory-mapped
+        series (columns still load lazily from the page cache): every
+        counter, or only the named ``counters``, whose shards alone are
+        mapped and checked."""
         out = TraceBundle(metadata=dict(self.metadata))
-        for name in self._counters:
+        for name in self._counters if counters is None else counters:
             out.add(self.series(name))
         return out
 
@@ -236,15 +239,27 @@ def write_bundle(bundle: TraceBundle, path: str | os.PathLike,
         "'columnar'")
 
 
-def read_bundle(path: str | os.PathLike) -> TraceBundle:
+def read_bundle(path: str | os.PathLike,
+                counters: Optional[Iterable[str]] = None) -> TraceBundle:
     """Read a trace from ``path``, autodetecting the format.
 
     A directory (with a store sidecar) reads as columnar; a regular
-    file reads as CSV.
+    file reads as CSV.  ``counters`` keeps only the named counters: a
+    columnar store then maps and checks only their shards, while a CSV
+    file is parsed whole and the other columns dropped.  A named
+    counter the trace lacks raises :class:`TraceError` listing the
+    available ones.  The read runs under a ``read-trace`` span.
     """
     path = os.fspath(path)
-    if os.path.isdir(path):
-        return read_columnar(path)
-    # Files — and missing paths — go through the CSV codec, which raises
-    # the usual FileNotFoundError for paths that don't exist.
-    return read_csv(path)
+    with _obs.span("read-trace", path=path):
+        if os.path.isdir(path):
+            return ColumnarStore(path).bundle(counters)
+        # Files — and missing paths — go through the CSV codec, which
+        # raises the usual FileNotFoundError for paths that don't exist.
+        bundle = read_csv(path)
+        if counters is None:
+            return bundle
+        kept = TraceBundle(metadata=bundle.metadata)
+        for name in counters:
+            kept.add(bundle[name])
+        return kept

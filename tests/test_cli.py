@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.cli import build_parser, main
 from repro.memsim import Machine, MachineConfig
-from repro.trace import write_csv
+from repro.trace import write_bundle, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +18,13 @@ def short_trace(tmp_path_factory):
     result = Machine(MachineConfig.nt4(seed=11, max_run_seconds=40_000)).run()
     write_csv(result.bundle, path)
     return path, result
+
+
+@pytest.fixture(scope="module")
+def short_store(short_trace, tmp_path_factory):
+    """The same crash run as a columnar trace store."""
+    return write_bundle(short_trace[1].bundle,
+                        tmp_path_factory.mktemp("cli") / "host")
 
 
 class TestParser:
@@ -486,6 +493,38 @@ class TestWatchCli:
                      "--counter", "NoSuchCounter", "--quiet"])
         assert code == 2
         assert "NoSuchCounter" in capsys.readouterr().err
+
+    def test_watch_store_bad_counter_lists_available(self, short_store,
+                                                      capsys):
+        code = main(["watch", "--trace", short_store,
+                     "--counter", "NoSuchCounter", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "NoSuchCounter" in err
+        assert "available:" in err and "'AvailableBytes'" in err
+
+    def test_watch_twice_in_one_process(self, short_store, capsys):
+        # main reuses one parser; a second call sees no state of the first.
+        from repro import cli
+
+        assert main(["watch", "--trace", short_store, "--quiet"]) == 0
+        first = capsys.readouterr().out
+        parser = cli._PARSER
+        assert main(["watch", "--trace", short_store, "--quiet"]) == 0
+        assert capsys.readouterr().out == first
+        assert cli._PARSER is parser
+        assert "watch finished: ALARM" in first
+
+    def test_watch_store_read_costs_as_trace_io(self, short_store, tmp_path):
+        from repro.obs.costs import build_cost_profile
+
+        code = main(["watch", "--trace", short_store, "--quiet",
+                     "--telemetry-out", str(tmp_path / "run")])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        centers = {c["path"]: c["phase"] for c in
+                   build_cost_profile(manifest["spans"])["top_cost_centers"]}
+        assert centers["watch/read-trace"] == "trace-io"
 
     @pytest.mark.parametrize("flags, name", [
         (["--history", "100"], "history"),

@@ -2,43 +2,116 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import AnalysisError, ValidationError
+from repro.core import holder as holder_module
 from repro.core.holder import (
     HolderTrajectory,
+    holder_tail,
     holder_trajectory,
     local_holder,
     oscillation_holder,
     wavelet_holder,
-    _rolling_max,
-    _rolling_min,
+    _window_extrema,
 )
 from repro.generators import fbm, weierstrass
 from repro.trace import TimeSeries
+
+
+def brute_window_extrema(rows, halves, op, *, tail=None):
+    """Oracle for ``_window_extrema``: op over each clipped centred
+    window, one window at a time."""
+    rows = np.asarray(rows, dtype=float)
+    reduce = np.max if op is np.maximum else np.min
+    n = rows.shape[1]
+    out = np.array([
+        [reduce(row[max(0, i - h): i + h + 1]) for i in range(n)]
+        for row, h in zip(rows, halves)
+    ])
+    return out if tail is None else out[:, n - min(tail, n):]
 
 
 class TestRollingExtrema:
     def test_max_matches_bruteforce(self, rng):
         x = rng.standard_normal(200)
         for half in (1, 3, 7, 10):
-            fast = _rolling_max(x, half)
+            fast = _window_extrema(x[None, :], [half], np.maximum)[0]
             slow = np.array([
                 x[max(0, i - half): i + half + 1].max() for i in range(x.size)
             ])
-            np.testing.assert_allclose(fast, slow)
+            np.testing.assert_array_equal(fast, slow)
 
     def test_min_matches_bruteforce(self, rng):
         x = rng.standard_normal(200)
         for half in (1, 5, 12):
-            fast = _rolling_min(x, half)
+            fast = _window_extrema(x[None, :], [half], np.minimum)[0]
             slow = np.array([
                 x[max(0, i - half): i + half + 1].min() for i in range(x.size)
             ])
-            np.testing.assert_allclose(fast, slow)
+            np.testing.assert_array_equal(fast, slow)
 
     def test_zero_window_identity(self, rng):
         x = rng.standard_normal(50)
-        np.testing.assert_array_equal(_rolling_max(x, 0), x)
+        np.testing.assert_array_equal(
+            _window_extrema(x[None, :], [0], np.maximum)[0], x)
+
+    def test_input_rows_untouched(self, rng):
+        rows = rng.standard_normal((3, 40))
+        before = rows.copy()
+        _window_extrema(rows, [4, 1, 9], np.maximum, tail=10)
+        np.testing.assert_array_equal(rows, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 16), n=st.integers(1, 80),
+           maximum=st.booleans(), ties=st.booleans(),
+           tail=st.one_of(st.none(), st.integers(1, 100)))
+    def test_equals_bruteforce(self, data, n_rows, n, maximum, ties, tail):
+        # Half widths 0-64 against rows as short as 1 sample cover
+        # windows wider than the row; small integer values and constant
+        # rows cover ties.
+        halves = data.draw(st.lists(st.integers(0, 64), min_size=n_rows,
+                                    max_size=n_rows))
+        values = (st.integers(-2, 2).map(float) if ties
+                  else st.floats(-1e6, 1e6, allow_nan=False))
+        rows = np.array(data.draw(st.lists(
+            st.lists(values, min_size=n, max_size=n),
+            min_size=n_rows, max_size=n_rows)), dtype=float)
+        if data.draw(st.booleans()):
+            rows[0] = rows[0, 0]
+        op = np.maximum if maximum else np.minimum
+        np.testing.assert_array_equal(
+            _window_extrema(rows, halves, op, tail=tail),
+            brute_window_extrema(rows, halves, op, tail=tail))
+
+
+class TestConeMaxOracle:
+    """The estimators give the same bits when their windowed extrema run
+    through the brute-force oracle."""
+
+    @pytest.fixture
+    def fast(self, monkeypatch):
+        """A signal and the kernel's outputs on it; the oracle replaces
+        the kernel afterwards."""
+        x = np.cumsum(np.random.default_rng(3).standard_normal(1500))
+        out = {"full": wavelet_holder(x), "tail": holder_tail(x, 512),
+               "short": holder_tail(x, 7), "osc": oscillation_holder(x)}
+        monkeypatch.setattr(holder_module, "_window_extrema",
+                            brute_window_extrema)
+        return x, out
+
+    def test_wavelet_holder_bit_identical(self, fast):
+        x, out = fast
+        np.testing.assert_array_equal(wavelet_holder(x), out["full"])
+
+    def test_holder_tail_bit_identical(self, fast):
+        x, out = fast
+        np.testing.assert_array_equal(holder_tail(x, 512), out["tail"])
+        np.testing.assert_array_equal(holder_tail(x, 7), out["short"])
+
+    def test_oscillation_holder_bit_identical(self, fast):
+        x, out = fast
+        np.testing.assert_array_equal(oscillation_holder(x), out["osc"])
 
 
 class TestWaveletHolder:

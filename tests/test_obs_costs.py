@@ -35,6 +35,8 @@ class TestClassification:
         ("machine-collect", "trace-io"),
         ("cell-run/write-trace", "trace-io"),
         ("simulate/write-trace", "trace-io"),
+        ("watch/read-trace", "trace-io"),
+        ("analyze/read-trace", "trace-io"),
         ("shard-simulate", "simulate"),
         ("shard-simulate/fleet-vec-run", "simulate"),
         ("campaign-pool/campaign-worker/shard-simulate/fleet-vec-run",

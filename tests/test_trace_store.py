@@ -166,6 +166,36 @@ class TestAutodetection:
         with pytest.raises(FileNotFoundError):
             read_bundle(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("target", ["trace.csv", "run0000"])
+    def test_read_bundle_keeps_only_named_counters(self, tmp_path, target):
+        bundle = make_bundle()
+        path = write_bundle(bundle, tmp_path / target)
+        whole = read_bundle(path)
+        back = read_bundle(path, counters=["pool/nonpaged"])
+        assert back.names == ["pool/nonpaged"]
+        for column in ("times", "values"):
+            np.testing.assert_array_equal(
+                getattr(back["pool/nonpaged"], column),
+                getattr(whole["pool/nonpaged"], column))
+        assert back.metadata == whole.metadata
+
+    def test_named_read_maps_only_those_shards(self, tmp_path):
+        store = tmp_path / "run"
+        write_columnar(make_bundle(), store)
+        # avail_bytes is counter 0: its shards are never opened.
+        os.remove(store / "c0000.times.npy")
+        os.remove(store / "c0000.values.npy")
+        back = read_bundle(store, counters=["pool/nonpaged"])
+        assert back.names == ["pool/nonpaged"]
+
+    @pytest.mark.parametrize("target", ["trace.csv", "run0000"])
+    def test_read_bundle_unknown_counter_lists_available(self, tmp_path,
+                                                         target):
+        path = write_bundle(make_bundle(), tmp_path / target)
+        with pytest.raises(TraceError,
+                           match=r"'bogus'.*available: \['avail_bytes'"):
+            read_bundle(path, counters=["bogus"])
+
 
 class TestStoreErrors:
     def test_not_a_store(self, tmp_path):
