@@ -103,11 +103,9 @@ Four subcommands covering the library's main workflows:
 
 Every workload subcommand additionally accepts ``--log-level
 {debug,info,warning,error,off}`` (structured log lines on stderr),
-``--telemetry-out DIR`` (write a run manifest + event log into DIR) and
-``--perf-profile`` (per-hot-path wall/CPU profile, recorded into the
-manifest or printed when no manifest is written).  A run that raises
-still writes its manifest, with ``outcome.status = "error"`` and the
-exception recorded.
+and ``--telemetry-out DIR`` (write a run manifest + event log into
+DIR).  A run that raises still writes its manifest, with
+``outcome.status = "error"`` and the exception recorded.
 """
 
 from __future__ import annotations
@@ -145,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--telemetry-out", default=None, metavar="DIR",
                         help="write a run manifest (manifest.json + "
                              "events.jsonl) into DIR")
-    common.add_argument("--perf-profile", action="store_true",
-                        help="profile hot paths (wall/CPU per call); "
-                             "recorded into the manifest, or printed when "
-                             "no --telemetry-out is given")
-    common.add_argument("--perf-memory", action="store_true",
-                        help="also trace per-call peak allocation size "
-                             "(implies --perf-profile; slow)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", parents=[common],
@@ -803,12 +794,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             from .obs.atomic import atomic_write_json
             from .obs.costs import build_cost_profile, cost_table
 
-            sess = obs_session.current_session()
-            snapshot = (sess.profiler.snapshot()
-                        if sess.profiler is not None else None)
             try:
-                costs = build_cost_profile(sess.spans.to_list(),
-                                           profile=snapshot)
+                costs = build_cost_profile(
+                    obs_session.current_session().spans.to_list())
             except ValidationError as exc:
                 print(f"costs: {exc}", file=sys.stderr)
             else:
@@ -1319,12 +1307,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Besides dispatching, this is where the telemetry envelope lives:
     ``--log-level`` configures the structured logger, ``--telemetry-out``
-    opens a fresh telemetry session around the command (``--perf-profile``
-    attaches the hot-path profiler to it) and freezes it into a run
-    manifest afterwards.  A command that *raises* still gets its manifest
-    — with ``outcome.status = "error"`` and the exception recorded — a
-    misbehaving run is exactly the one worth inspecting; the exception
-    then propagates unchanged.
+    opens a fresh telemetry session around the command and freezes it
+    into a run manifest afterwards.  A command that *raises* still gets
+    its manifest — with ``outcome.status = "error"`` and the exception
+    recorded — a misbehaving run is exactly the one worth inspecting;
+    the exception then propagates unchanged.
     """
     from . import obs
 
@@ -1348,8 +1335,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "log_level", None):
         obs.configure_logging(args.log_level)
     telemetry_out = getattr(args, "telemetry_out", None)
-    profiling = bool(getattr(args, "perf_profile", False)
-                     or getattr(args, "perf_memory", False))
     # A live /status surface needs a live session to scrape, so
     # --status-port implies telemetry even without a manifest directory.
     # So do campaign/watch --timeline (frames read live counters) and
@@ -1359,10 +1344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      and (getattr(args, "timeline", None) is not None
                           or getattr(args, "costs", None) is not None))
     session = (
-        obs.enable_telemetry(
-            profile=profiling,
-            profile_memory=bool(getattr(args, "perf_memory", False)))
-        if (telemetry_out or profiling
+        obs.enable_telemetry()
+        if (telemetry_out
             or getattr(args, "status_port", None) is not None
             or wants_history) else None
     )
@@ -1398,35 +1381,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 path = obs.write_manifest(manifest, telemetry_out)
                 print(f"telemetry -> {path}")
-            elif session.profiler is not None and len(session.profiler):
-                print()
-                print(_render_profile(session.profiler.snapshot()))
             obs.disable_telemetry()
         if getattr(args, "log_level", None):
             obs.reset_logging()
-
-
-def _render_profile(snapshot: dict) -> str:
-    """Hot-path profile as a report table (for profiled runs w/o manifest)."""
-    from .report import render_table
-
-    rows = []
-    for name, stats in snapshot.get("hotpaths", {}).items():
-        mem = stats.get("mem_peak_bytes")
-        rows.append([
-            name, stats["calls"],
-            stats["wall_total"], stats["wall_mean"] or 0.0,
-            stats["cpu_total"],
-            "-" if mem is None else f"{mem / 1e6:.1f}",
-        ])
-    title = "Hot-path profile"
-    peak = snapshot.get("peak_rss_bytes")
-    if peak is not None:
-        title += f" (process peak RSS {peak / 1e6:.0f} MB)"
-    return render_table(
-        ["hot path", "calls", "wall_s", "wall_mean_s", "cpu_s", "mem_peak_MB"],
-        rows, title=title,
-    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

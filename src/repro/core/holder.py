@@ -39,7 +39,6 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import AnalysisError, ValidationError
-from ..obs.profile import profile
 from ..trace.series import TimeSeries
 from ..fractal.wavelets import cwt
 
@@ -91,7 +90,6 @@ def wavelet_holder(
 SUPPORT_MARGIN = 10.0
 
 
-@profile("core.holder_tail")
 def holder_tail(
     values,
     tail: int,
@@ -248,7 +246,6 @@ class HolderTrajectory:
         return int(self.times.size)
 
 
-@profile("core.holder_trajectory")
 def holder_trajectory(
     ts: TimeSeries,
     *,

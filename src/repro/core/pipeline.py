@@ -22,7 +22,6 @@ from .._validation import check_positive_int
 from ..exceptions import AnalysisError
 from ..obs import get_logger
 from ..obs import session as _obs
-from ..obs.profile import profile
 from ..trace.series import TimeSeries, TraceBundle
 from ..trace.preprocess import fill_gaps, resample_uniform
 from .holder import HolderTrajectory, holder_trajectory
@@ -86,7 +85,6 @@ class AgingReport:
         return float(self.crash_time) - float(self.first_alarm_time)
 
 
-@profile("core.analyze_counter")
 def analyze_counter(
     ts: TimeSeries,
     *,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .._validation import as_1d_float_array, check_positive_int
 from ..exceptions import AnalysisError, ValidationError
-from ..obs.profile import profile
 from ..stats.regression import fit_line
 from .dfa import default_scales
 
@@ -75,7 +74,6 @@ def default_q() -> np.ndarray:
     return np.linspace(-5.0, 5.0, 21)
 
 
-@profile("fractal.mfdfa")
 def mfdfa(
     values,
     *,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .._validation import check_positive_int
 from ..exceptions import AnalysisError
-from ..obs.profile import profile
 from ..trace.series import TimeSeries
 from .mfdfa import mfdfa
 from .spectrum import legendre_spectrum
@@ -48,7 +47,6 @@ class SlidingMfdfaResult:
         return int(self.times.size)
 
 
-@profile("fractal.sliding_mfdfa")
 def sliding_mfdfa(
     ts: TimeSeries,
     *,

@@ -44,7 +44,6 @@ from .._validation import (
 )
 from ..exceptions import AnalysisError, ValidationError
 from ..obs import session as _obs
-from ..obs.profile import profile
 
 # ---------------------------------------------------------------------------
 # Filter construction
@@ -176,7 +175,6 @@ def _idwt_step(approx: np.ndarray, detail: np.ndarray, h: np.ndarray, g: np.ndar
     return x
 
 
-@profile("fractal.dwt")
 def dwt(values, *, wavelet: int = 2, level: int | None = None) -> List[np.ndarray]:
     """Periodic orthonormal DWT.
 
@@ -233,7 +231,6 @@ def idwt(coeffs: Sequence[np.ndarray], *, wavelet: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@profile("fractal.modwt")
 def modwt(values, *, wavelet: int = 2, level: int | None = None) -> Dict[int, np.ndarray]:
     """Maximal-overlap DWT detail coefficients per level.
 
@@ -386,7 +383,6 @@ def clear_wavelet_plan_cache() -> None:
     _plan_misses = 0
 
 
-@profile("fractal.cwt")
 def cwt(
     values,
     scales,

@@ -48,7 +48,6 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..obs import get_logger
 from ..obs import session as _obs
-from ..obs.profile import profile
 from ..simkernel import batch_rng
 from ..simkernel.batch_rng import FleetRng
 from ..trace.series import TimeSeries, TraceBundle
@@ -704,7 +703,6 @@ class VectorFleet:
 
     # -- results ------------------------------------------------------------
 
-    @profile("memsim.fleet_vec_run")
     def run(self) -> List[RunResult]:
         """Advance to the time budget and collect per-host results."""
         _log.info("vector fleet starting", n_hosts=self.n_hosts,

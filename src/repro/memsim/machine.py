@@ -25,7 +25,6 @@ from typing import List, Optional
 from ..exceptions import SimulationError
 from ..obs import get_logger
 from ..obs import session as _obs
-from ..obs.profile import profile
 from ..simkernel import RngRegistry, Simulator
 from ..trace.series import TraceBundle
 from .config import MachineConfig
@@ -222,7 +221,6 @@ class Machine:
 
     # -- driving ------------------------------------------------------------------
 
-    @profile("memsim.machine_run")
     def run(self) -> RunResult:
         """Run the stress experiment to crash or time budget."""
         _log.info("run starting", profile=self.config.os_profile,

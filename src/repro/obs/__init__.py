@@ -1,7 +1,7 @@
-"""repro.obs — run telemetry: logging, metrics, spans, manifests, profiling.
+"""repro.obs — run telemetry: logging, metrics, spans, manifests, costs.
 
 The observability layer of the reproduction (subsystems S14/S15 in
-DESIGN.md).  Seven pieces, composable but independently usable:
+DESIGN.md).  Composable pieces, each usable on its own:
 
 * :mod:`repro.obs.atomic` — atomic write-temp-then-rename artifact
   writes (:func:`atomic_write` and friends), shared by every durable
@@ -18,9 +18,6 @@ DESIGN.md).  Seven pieces, composable but independently usable:
 * :mod:`repro.obs.manifest` — per-run manifest artifacts
   (``manifest.json`` + ``events.jsonl``) freezing config, seed,
   versions, stage durations, a metrics snapshot and the event log.
-* :mod:`repro.obs.profile` — hot-path profiling hooks (wall/CPU time,
-  call counts, peak RSS / traced-allocation peaks) attachable to any
-  telemetry session via ``enable_telemetry(profile=True)``.
 * :mod:`repro.obs.export` — exporters rendering sessions and saved
   manifests as Prometheus/OpenMetrics text, flat JSON or CSV.
 * :mod:`repro.obs.bench` — the ``python -m repro bench`` contract
@@ -56,7 +53,7 @@ DESIGN.md).  Seven pieces, composable but independently usable:
   plus the load/validate/slice/summarize/export helpers driving the
   ``timeline`` subcommand.
 * :mod:`repro.obs.costs` — cross-worker cost attribution: folds the
-  merged span tree into a ``repro.costs/1`` profile (wall/CPU share per
+  merged span tree into a ``repro.costs/1`` profile (wall share per
   pipeline phase, per worker and pooled, top cost centers).
 
 Library code is instrumented against the *current telemetry session*
@@ -109,14 +106,6 @@ from .manifest import (
     load_manifests,
     read_manifest,
     write_manifest,
-)
-from .profile import (
-    Profiler,
-    ProfileRecord,
-    active_profiler,
-    peak_rss_bytes,
-    profile,
-    set_active_profiler,
 )
 from .export import (
     PrometheusWriter,
@@ -174,7 +163,6 @@ from .timeline import (
 from .costs import (
     COSTS_SCHEMA,
     build_cost_profile,
-    classify_hotpath,
     classify_span,
     cost_table,
 )
@@ -220,13 +208,6 @@ __all__ = [
     "read_manifest",
     "write_manifest",
     "load_manifests",
-    # profiling
-    "Profiler",
-    "ProfileRecord",
-    "profile",
-    "active_profiler",
-    "set_active_profiler",
-    "peak_rss_bytes",
     # exporters
     "PrometheusWriter",
     "flatten_metrics",
@@ -280,6 +261,5 @@ __all__ = [
     "COSTS_SCHEMA",
     "build_cost_profile",
     "classify_span",
-    "classify_hotpath",
     "cost_table",
 ]

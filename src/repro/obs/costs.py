@@ -21,9 +21,7 @@ did the wall time go":
 * per worker (``attrs.worker_ordinal``; local spans pool under
   ``"parent"``) and pooled, with shares over total attributed self time
   (so shares sum to exactly 1.0 whenever any time was attributed),
-* plus a "top cost centers" table (the heaviest paths by self time)
-  and, when a profiler ran, the CPU-seconds view of the same phases
-  from hot-path stats.
+* plus a "top cost centers" table (the heaviest paths by self time).
 
 Everything is pure folding over span dicts — no I/O, no globals — so
 it works on a live session, a saved manifest or a worker's telemetry
@@ -40,7 +38,6 @@ __all__ = [
     "COSTS_SCHEMA",
     "PHASES",
     "classify_span",
-    "classify_hotpath",
     "build_cost_profile",
     "cost_table",
     "validate_cost_profile",
@@ -72,17 +69,6 @@ _PHASE_BY_SPAN = {
     "cell-run": "pool-overhead",
 }
 
-# Profiler hot-path names -> phase, for the CPU view.
-_PHASE_BY_HOTPATH_PREFIX = (
-    ("fractal.", "cwt-holder"),
-    ("core.holder_tail", "cwt-holder"),
-    ("core.holder_trajectory", "cwt-holder"),
-    ("core.analyze_counter", "analysis"),
-    ("memsim.", "simulate"),
-    ("simkernel.", "simulate"),
-    ("perf.", "pool-overhead"),
-)
-
 
 def classify_span(path: str) -> str:
     """Phase of a span *path*: its deepest classified segment, else
@@ -90,14 +76,6 @@ def classify_span(path: str) -> str:
     for segment in reversed(path.split("/")):
         phase = _PHASE_BY_SPAN.get(segment)
         if phase is not None:
-            return phase
-    return "other"
-
-
-def classify_hotpath(name: str) -> str:
-    """Phase of a profiler hot-path name, else ``other``."""
-    for prefix, phase in _PHASE_BY_HOTPATH_PREFIX:
-        if name.startswith(prefix):
             return phase
     return "other"
 
@@ -122,19 +100,13 @@ def _parent_path(path: str, known: Mapping) -> Optional[str]:
     return None
 
 
-def build_cost_profile(
-    spans: Sequence[Mapping], *,
-    profile: Optional[Mapping] = None,
-    top: int = 12,
-) -> dict:
+def build_cost_profile(spans: Sequence[Mapping], *, top: int = 12) -> dict:
     """Fold span dicts into a ``repro.costs/1`` cost profile.
 
     ``spans`` is the JSON span list of a session or manifest
     (:meth:`SpanCollector.to_list` shape); open spans (no duration) are
-    skipped.  ``profile`` optionally injects a profiler snapshot
-    (``{"hotpaths": {...}}``) for the CPU view.  Raises
-    :class:`ValidationError` when no span carries a duration — a cost
-    profile of nothing would be all-NaN noise.
+    skipped.  Raises :class:`ValidationError` when no span carries a
+    duration — a cost profile of nothing would be all-NaN noise.
     """
     # Aggregate per (path, worker): duration + call count.
     agg: Dict[str, dict] = {}
@@ -212,7 +184,7 @@ def build_cost_profile(
     roots = [path for path in agg if _parent_path(path, agg) is None]
     wall = max((agg[path]["duration"] for path in roots), default=0.0)
 
-    result = {
+    return {
         "schema": COSTS_SCHEMA,
         "wall_seconds": wall,
         "attributed_seconds": total_self,
@@ -224,25 +196,6 @@ def build_cost_profile(
         },
         "top_cost_centers": centers[:top],
     }
-    hotpaths = (profile or {}).get("hotpaths") or {}
-    if hotpaths:
-        cpu_phase: Dict[str, float] = {phase: 0.0 for phase in PHASES}
-        for name, stats in hotpaths.items():
-            cpu = stats.get("cpu_total")
-            if cpu is not None:
-                cpu_phase[classify_hotpath(name)] += float(cpu)
-        cpu_total = sum(cpu_phase.values())
-        result["cpu"] = {
-            "cpu_seconds": cpu_total,
-            "phases": {
-                phase: {
-                    "cpu_seconds": seconds,
-                    "share": (seconds / cpu_total) if cpu_total > 0 else None,
-                }
-                for phase, seconds in cpu_phase.items()
-            },
-        }
-    return result
 
 
 def cost_table(costs: Mapping) -> List[List[str]]:
@@ -272,19 +225,17 @@ def validate_cost_profile(costs: object) -> Mapping:
     :class:`ValidationError`.
 
     Every figure (top-level totals, per-phase and per-worker phase
-    stats, CPU phase stats, cost-center numbers) must be a number or
-    ``None``.
+    stats, cost-center numbers) must be a number or ``None``.  Keys no
+    renderer reads (such as the ``cpu`` block of older profiles) are
+    ignored.
     """
     if not isinstance(costs, Mapping) or costs.get("schema") != COSTS_SCHEMA:
         raise ValidationError(f"not a {COSTS_SCHEMA} profile")
-    cpu = costs.get("cpu") or {}
     workers = costs.get("workers", {})
     centers = costs.get("top_cost_centers", [])
-    if not (isinstance(cpu, Mapping) and isinstance(workers, Mapping)
-            and isinstance(centers, list)):
-        raise ValidationError("malformed cpu/workers/top_cost_centers")
-    tables = {"phases": costs.get("phases"),
-              "cpu.phases": cpu.get("phases", {})}
+    if not (isinstance(workers, Mapping) and isinstance(centers, list)):
+        raise ValidationError("malformed workers/top_cost_centers")
+    tables = {"phases": costs.get("phases")}
     tables.update((f"workers.{name}", table)
                   for name, table in workers.items())
     figures = {key: costs.get(key)

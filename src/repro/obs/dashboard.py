@@ -664,10 +664,9 @@ _PHASE_FILL = ("var(--series-1)", "var(--series-3)", "var(--series-2)",
 
 
 def _costs_section(costs: Mapping) -> str:
-    """Cost-attribution panel: stacked phase-share bar, phase table with
-    the CPU view, top cost centers, per-worker breakdown."""
+    """Cost-attribution panel: stacked phase-share bar, phase table,
+    top cost centers, per-worker breakdown."""
     phases = costs.get("phases", {})
-    cpu_phases = (costs.get("cpu") or {}).get("phases", {})
 
     bar_h = 26
     x = 0.0
@@ -704,23 +703,19 @@ def _costs_section(costs: Mapping) -> str:
 
     phase_rows = []
     for name, stats in phases.items():
-        cpu_share = (cpu_phases.get(name) or {}).get("share")
-        cpu_cell = ("—" if cpu_share is None
-                    else f"{100.0 * float(cpu_share):.1f}%")
         phase_rows.append(
             f"<tr><td><span class=\"swatch\" "
             f"style=\"background:{fill_by_phase.get(name, '')}\"></span>"
             f"{_esc(name)}</td>"
             f"<td class=\"num\">{float(stats.get('self_seconds') or 0.0):.3f}</td>"
-            f"<td class=\"num\">{100.0 * float(stats.get('share') or 0.0):.1f}%</td>"
-            f"<td class=\"num\">{cpu_cell}</td></tr>")
+            f"<td class=\"num\">{100.0 * float(stats.get('share') or 0.0):.1f}%</td></tr>")
     phase_table = (
         '<figure class="chart"><figcaption>Phase breakdown '
         f'(wall {_fmt(costs.get("wall_seconds"))}s · attributed '
         f'{_fmt(costs.get("attributed_seconds"))}s · '
         f'{_fmt(costs.get("n_spans"))} spans)</figcaption>'
         '<table class="data"><thead><tr><th>phase</th>'
-        '<th>self s</th><th>wall share</th><th>CPU share</th></tr></thead>'
+        '<th>self s</th><th>wall share</th></tr></thead>'
         f'<tbody>{"".join(phase_rows)}</tbody></table></figure>')
 
     top_rows = []

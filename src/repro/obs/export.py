@@ -8,8 +8,8 @@ Three renderings cover the consumers we care about:
   OpenMetrics text (the Prometheus exposition format): one metric
   family per instrument, counters suffixed ``_total``, histograms
   rendered as summaries with ``quantile`` labels, stage
-  durations, event counts and hot-path profile data as labelled
-  families, terminated by ``# EOF``.
+  durations and event counts as labelled families, terminated by
+  ``# EOF``.
 * :func:`flatten_metrics` / :func:`manifests_to_json` — a flat
   ``{"name.field": value}`` dict per run, the shape dashboards and
   ad-hoc scripts index painlessly.
@@ -79,7 +79,6 @@ def manifests_to_json(manifests: Sequence[RunManifest]) -> List[dict]:
             "n_events": len(manifest.events),
             "stage_seconds": manifest.stage_durations(),
             "metrics": flatten_metrics(manifest.metrics),
-            "profile": manifest.profile,
             "outcome": manifest.outcome,
         })
     return records
@@ -88,9 +87,8 @@ def manifests_to_json(manifests: Sequence[RunManifest]) -> List[dict]:
 def manifests_to_csv(manifests: Sequence[RunManifest]) -> str:
     """Flat CSV: ``run,command,seed,metric,value`` rows for every scalar.
 
-    Stage durations and profile hot-path stats are included under
-    ``stage.<path>.seconds`` and ``profile.<hotpath>.<field>`` names, so
-    one CSV carries the whole quantitative content of a run.
+    Stage durations are included under ``stage.<path>.seconds`` names,
+    so one CSV carries the whole quantitative content of a run.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -103,10 +101,6 @@ def manifests_to_csv(manifests: Sequence[RunManifest]) -> str:
             rows.append(("run.wall_seconds", manifest.wall_seconds))
         for path, seconds in manifest.stage_durations().items():
             rows.append((f"stage.{path}.seconds", seconds))
-        for hotpath, stats in manifest.profile.get("hotpaths", {}).items():
-            for field, value in stats.items():
-                if value is not None:
-                    rows.append((f"profile.{hotpath}.{field}", value))
         for metric, value in rows:
             writer.writerow([index, manifest.command, seed, metric, value])
     return buffer.getvalue()
@@ -266,33 +260,6 @@ def _add_metrics_samples(
                                   snap[bound], labels=labels)
 
 
-def _add_profile_samples(
-    writer: PrometheusWriter,
-    profile: Mapping[str, object],
-    labels: Mapping[str, object],
-) -> None:
-    peak_rss = profile.get("peak_rss_bytes")
-    if peak_rss is not None:
-        writer.sample("process_peak_rss_bytes", "gauge", peak_rss,
-                      labels=labels,
-                      help="process-lifetime peak resident set size")
-    for hotpath, stats in profile.get("hotpaths", {}).items():
-        hp_labels = {**labels, "hotpath": hotpath}
-        writer.sample("profile_calls", "counter", stats["calls"],
-                      labels=hp_labels,
-                      help="profiled hot-path call count")
-        writer.sample("profile_wall_seconds", "counter", stats["wall_total"],
-                      labels=hp_labels,
-                      help="profiled hot-path wall-clock seconds")
-        writer.sample("profile_cpu_seconds", "counter", stats["cpu_total"],
-                      labels=hp_labels,
-                      help="profiled hot-path CPU seconds")
-        if stats.get("mem_peak_bytes") is not None:
-            writer.sample("profile_mem_peak_bytes", "gauge",
-                          stats["mem_peak_bytes"], labels=hp_labels,
-                          help="peak traced allocation size per call")
-
-
 def manifests_to_prometheus(
     manifests: Sequence[RunManifest], *, prefix: str = "repro_",
 ) -> str:
@@ -325,7 +292,6 @@ def manifests_to_prometheus(
                           labels={**labels, "kind": kind},
                           help="recorded telemetry events by kind")
         _add_metrics_samples(writer, manifest.metrics, labels)
-        _add_profile_samples(writer, manifest.profile, labels)
     return writer.render()
 
 
@@ -462,8 +428,6 @@ def session_to_prometheus(
 ) -> str:
     """Render a live telemetry session as OpenMetrics text."""
     writer = PrometheusWriter(prefix=prefix)
-    base = dict(labels or {})
-    _add_metrics_samples(writer, session.metrics.snapshot(), base)
-    if session.profiler is not None:
-        _add_profile_samples(writer, session.profiler.snapshot(), base)
+    _add_metrics_samples(writer, session.metrics.snapshot(),
+                         dict(labels or {}))
     return writer.render()

@@ -3,8 +3,7 @@
 A :class:`RunManifest` is the durable record of one CLI invocation (or
 any embedding-defined "run"): command, configuration, seed, component
 versions, wall-clock envelope, completed stage spans, a metrics
-snapshot, the event log, a hot-path profile (when the session ran with
-profiling on), and a command-specific ``outcome`` block.
+snapshot, the event log and a command-specific ``outcome`` block.
 
 On disk a run is a directory::
 
@@ -77,7 +76,6 @@ class RunManifest:
     spans: List[dict] = field(default_factory=list)
     metrics: Dict[str, dict] = field(default_factory=dict)
     events: List[dict] = field(default_factory=list)
-    profile: Dict[str, object] = field(default_factory=dict)
     outcome: Dict[str, object] = field(default_factory=dict)
     schema: str = MANIFEST_SCHEMA
 
@@ -118,7 +116,6 @@ class RunManifest:
             "spans": self.spans,
             "metrics": self.metrics,
             "events": self.events,
-            "profile": self.profile,
             "outcome": self.outcome,
         }
 
@@ -143,7 +140,6 @@ def build_manifest(
         spans=session.spans.to_list(),
         metrics=session.metrics.snapshot(),
         events=list(session.events),
-        profile=session.profiler.snapshot() if session.profiler else {},
         outcome=dict(outcome or {}),
     )
 
@@ -166,8 +162,52 @@ def write_manifest(manifest: RunManifest, out_dir: str | os.PathLike) -> str:
     return manifest_path
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number_or_null(value: object) -> bool:
+    return value is None or _is_number(value)
+
+
+def _check_payload(payload: dict, path: object) -> None:
+    """Raise :class:`TraceError` naming the first field the readers
+    could not use."""
+    def bad(field_name: str, expected: str) -> TraceError:
+        return TraceError(
+            f"corrupt manifest {path}: {field_name!r} must be {expected}")
+
+    if not isinstance(payload.get("command"), str):
+        raise bad("command", "a string")
+    for key in ("config", "metrics", "versions", "outcome"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise bad(key, "an object")
+    if not all(isinstance(snap, dict)
+               for snap in payload.get("metrics", {}).values()):
+        raise bad("metrics", "an object of objects")
+    if not _is_number(payload.get("started_at", 0.0)):
+        raise bad("started_at", "a number")
+    if not _is_number_or_null(payload.get("finished_at")):
+        raise bad("finished_at", "a number or null")
+    for key in ("spans", "events"):
+        items = payload.get(key, [])
+        if not (isinstance(items, list)
+                and all(isinstance(item, dict) for item in items)):
+            raise bad(key, "a list of objects")
+    for span in payload.get("spans", []):
+        if not isinstance(span.get("path"), str):
+            raise bad("spans[].path", "a string")
+        if not _is_number_or_null(span.get("duration")):
+            raise bad("spans[].duration", "a number or null")
+
+
 def read_manifest(path: str | os.PathLike) -> RunManifest:
-    """Read one ``manifest.json`` back into a :class:`RunManifest`."""
+    """Read one ``manifest.json`` back into a :class:`RunManifest`.
+
+    Keys a reader does not know (such as the ``profile`` block of older
+    manifests) are ignored; a field of the wrong shape raises
+    :class:`TraceError` naming the file and the field.
+    """
     with open(path, "r") as handle:
         try:
             payload = json.load(handle)
@@ -181,6 +221,7 @@ def read_manifest(path: str | os.PathLike) -> RunManifest:
             f"unsupported manifest schema {schema!r} in {path} "
             f"(expected {MANIFEST_SCHEMA!r})"
         )
+    _check_payload(payload, path)
     return RunManifest(
         command=payload["command"],
         config=payload.get("config", {}),
@@ -191,7 +232,6 @@ def read_manifest(path: str | os.PathLike) -> RunManifest:
         spans=payload.get("spans", []),
         metrics=payload.get("metrics", {}),
         events=payload.get("events", []),
-        profile=payload.get("profile", {}),
         outcome=payload.get("outcome", {}),
     )
 

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 
 from .logger import get_logger
 from .metrics import MetricsRegistry, NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
-from .profile import Profiler, set_active_profiler
 from .spans import NULL_SPAN, SpanCollector
 
 __all__ = [
@@ -44,26 +43,12 @@ __all__ = [
 
 
 class TelemetrySession:
-    """Metrics registry + span collector + event log for one run.
+    """Metrics registry + span collector + event log for one run."""
 
-    ``profile=True`` additionally attaches a
-    :class:`~repro.obs.profile.Profiler`, so every :func:`profile`-marked
-    hot path reports per-call wall/CPU statistics into the session;
-    ``profile_memory=True`` also traces each call's peak allocation size
-    (accurate but slow — ``tracemalloc`` intercepts every allocation).
-    """
-
-    def __init__(
-        self, *, enabled: bool = True,
-        profile: bool = False, profile_memory: bool = False,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
         self.spans = SpanCollector(enabled=enabled)
-        self.profiler: Optional[Profiler] = (
-            Profiler(track_memory=profile_memory)
-            if enabled and (profile or profile_memory) else None
-        )
         self.events: List[dict] = []
         self.started_at = time.time()
         # Stamped by repro.obs.ops.trace_scope when a campaign mints a trace.
@@ -98,10 +83,9 @@ _session: TelemetrySession = _DISABLED
 
 
 def _install(session: TelemetrySession) -> None:
-    """Make ``session`` current and point the profile hooks at it."""
+    """Make ``session`` current."""
     global _session
     _session = session
-    set_active_profiler(session.profiler)
 
 
 def current_session() -> TelemetrySession:
@@ -114,12 +98,9 @@ def telemetry_enabled() -> bool:
     return _session.enabled
 
 
-def enable_telemetry(
-    *, profile: bool = False, profile_memory: bool = False,
-) -> TelemetrySession:
-    """Install and return a fresh live session (optionally profiling)."""
-    _install(TelemetrySession(
-        enabled=True, profile=profile, profile_memory=profile_memory))
+def enable_telemetry() -> TelemetrySession:
+    """Install and return a fresh live session."""
+    _install(TelemetrySession(enabled=True))
     get_logger("obs").debug("telemetry enabled")
     return _session
 
@@ -130,15 +111,14 @@ def disable_telemetry() -> None:
 
 
 @contextlib.contextmanager
-def telemetry_session(*, profile: bool = False, profile_memory: bool = False):
+def telemetry_session():
     """Enable telemetry for a ``with`` block, restoring the previous session.
 
     Yields the fresh live session; embedders and tests use this to scope
     collection without touching global state by hand.
     """
     previous = _session
-    fresh = TelemetrySession(
-        enabled=True, profile=profile, profile_memory=profile_memory)
+    fresh = TelemetrySession(enabled=True)
     _install(fresh)
     try:
         yield fresh

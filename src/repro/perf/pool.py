@@ -52,7 +52,6 @@ from ..exceptions import ValidationError
 from ..obs import ops as _ops
 from ..obs import session as _obs
 from ..obs.logger import get_logger
-from ..obs.profile import profile
 
 _log = get_logger("perf.pool")
 
@@ -328,7 +327,6 @@ def _sequential_attempts(
         _merge_worker_telemetry(telemetries, prefix=label)
 
 
-@profile("perf.resilient_map")
 def resilient_map(
     fn: Callable[[T], R],
     items: Sequence[T],
@@ -589,7 +587,6 @@ def _dump_on_failures(outcomes: List[UnitOutcome], *, label: str) -> None:
         _ops.flight_dump("unit-failures", label=label, failed_units=failed)
 
 
-@profile("perf.parallel_map")
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T],

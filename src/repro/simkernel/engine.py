@@ -28,7 +28,6 @@ from typing import Callable, List, Optional
 from .._validation import check_finite
 from ..exceptions import SimulationError
 from ..obs import session as _obs
-from ..obs.profile import profile
 
 EventCallback = Callable[[], None]
 
@@ -166,7 +165,6 @@ class Simulator:
         """Request the run loop to stop after the current event returns."""
         self._stop_requested = True
 
-    @profile("simkernel.run_until")
     def run_until(self, t_end: float, *, max_events: Optional[int] = None) -> None:
         """Fire events in order until the clock would pass ``t_end``.
 

@@ -93,18 +93,6 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["bench", *removed])
 
-    def test_perf_profile_flags_on_every_command(self):
-        for base in (["simulate", "--out", "x.csv"],
-                     ["analyze", "t.csv"],
-                     ["validate"],
-                     ["campaign"],
-                     ["bench"],
-                     ["watch"],
-                     ["dashboard", "x.jsonl"]):
-            args = build_parser().parse_args(base + ["--perf-profile"])
-            assert args.perf_profile
-            assert not args.perf_memory
-
     def test_watch_args(self):
         args = build_parser().parse_args(
             ["watch", "--scenario", "stress", "--seed", "3",
@@ -285,24 +273,63 @@ class TestTelemetryCli:
         assert manifest["outcome"]["error"]["type"] == "FileNotFoundError"
         assert manifest["outcome"]["exit_code"] is None
 
-    def test_perf_profile_into_manifest(self, tmp_path):
-        out = tmp_path / "profiled"
-        code = main(["simulate", "--seed", "5", "--max-seconds", "3000",
-                     "--telemetry-out", str(out), "--perf-profile"])
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        hotpaths = manifest["profile"]["hotpaths"]
-        assert "memsim.machine_run" in hotpaths
-        assert "simkernel.run_until" in hotpaths
-        assert hotpaths["memsim.machine_run"]["calls"] == 1
+    @pytest.mark.parametrize("field, change", [
+        ("command", {"command": None}),
+        ("command", {"command": 7}),
+        ("spans", {"spans": 5}),
+        ("spans", {"spans": [5]}),
+        ("events", {"events": 3}),
+        ("config", {"config": []}),
+        ("metrics", {"metrics": "x"}),
+        ("versions", {"versions": 1}),
+        ("outcome", {"outcome": [1]}),
+        ("spans[].duration", {"spans": [{"path": "a", "duration": "x"}]}),
+        ("spans[].path", {"spans": [{"duration": 1.0}]}),
+        ("metrics", {"metrics": {"sim.x": 5}}),
+        ("started_at", {"started_at": "x"}),
+        ("finished_at", {"finished_at": True}),
+    ], ids=["no-command", "command-int", "spans-int", "spans-of-ints",
+            "events-int", "config-list", "metrics-str", "versions-int",
+            "outcome-list", "duration-str", "span-without-path",
+            "metric-not-object", "started-at-str", "finished-at-bool"])
+    def test_malformed_manifest_errors(self, tmp_path, capsys, field, change):
+        payload = {"schema": obs.MANIFEST_SCHEMA, "command": "simulate",
+                   "spans": [{"path": "a", "duration": 1.0}]}
+        payload.update(change)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        code = main(["telemetry", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(path) in err and repr(field) in err
 
-    def test_perf_profile_prints_table_without_manifest(self, tmp_path, capsys):
-        code = main(["simulate", "--seed", "5", "--max-seconds", "2000",
-                     "--out", str(tmp_path / "t.csv"), "--perf-profile"])
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv", "prom"])
+    def test_manifest_with_profile_block_still_renders(self, run_dir, capsys,
+                                                       fmt):
+        """Manifests of the same schema once carried a hot-path
+        ``profile`` block; it loads and is ignored by every format."""
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["profile"] = {
+            "track_memory": False, "peak_rss_bytes": 123456789,
+            "hotpaths": {"memsim.machine_run": {
+                "calls": 1, "errors": 0, "wall_total": 0.5,
+                "wall_mean": 0.5, "wall_min": 0.5, "wall_max": 0.5,
+                "cpu_total": 0.4, "mem_peak_bytes": None}},
+        }
+        path.write_text(json.dumps(manifest))
+        assert obs.read_manifest(path).command == "simulate"
+        code = main(["telemetry", str(run_dir), "--format", fmt])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Hot-path profile" in out
-        assert "memsim.machine_run" in out
+        assert "simulate" in out
+        assert "profile" not in out
+        assert "machine_run" not in out
+        assert "peak_rss" not in out
+        if fmt == "json":
+            assert "profile" not in json.loads(out)[0]
 
 
 @pytest.fixture
@@ -757,6 +784,29 @@ class TestTimelineCli:
                      "--dashboard", str(tmp_path / "t.html")])
         assert code == 2
         assert "bad costs profile" in capsys.readouterr().err
+
+    def test_costs_profile_with_cpu_block_still_renders(
+            self, timeline_file, tmp_path):
+        """Cost profiles of the same schema once carried a ``cpu`` block;
+        it validates and the dashboard ignores it."""
+        from repro.obs.costs import build_cost_profile, validate_cost_profile
+
+        costs = build_cost_profile([
+            {"path": "machine-run", "duration": 3.0, "attrs": {}},
+            {"path": "holder", "duration": 1.0, "attrs": {}}])
+        costs["cpu"] = {"cpu_seconds": 2.0, "phases": {
+            "simulate": {"cpu_seconds": 2.0, "share": 1.0},
+            "other": {"cpu_seconds": 0.0, "share": None}}}
+        validate_cost_profile(costs)
+        path = tmp_path / "costs.json"
+        path.write_text(json.dumps(costs))
+        dash = tmp_path / "t.html"
+        code = main(["timeline", str(timeline_file), "--costs", str(path),
+                     "--dashboard", str(dash)])
+        assert code == 0
+        html = dash.read_text()
+        assert "Phase breakdown" in html
+        assert "CPU share" not in html
 
 
 class TestCampaignTimelineFlag:

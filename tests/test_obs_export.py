@@ -26,8 +26,8 @@ def _clean_telemetry():
     obs.disable_telemetry()
 
 
-def _session_with_activity(*, profiled=False):
-    session = obs.TelemetrySession(profile=profiled)
+def _session_with_activity():
+    session = obs.TelemetrySession()
     with session.spans.span("simulate"):
         with session.spans.span("machine-run", seed=3):
             pass
@@ -38,18 +38,13 @@ def _session_with_activity(*, profiled=False):
         hist.observe(float(v))
     session.record_event("crash", sim_time=5000.0, reason="commit")
     session.record_event("crash", sim_time=6000.0, reason="commit")
-    if profiled:
-        with session.profiler.measure("fake.hotpath"):
-            pass
     return session
 
 
 def _manifest(**kwargs):
-    profiled = kwargs.pop("profiled", False)
     defaults = dict(command="simulate", seed=3)
     defaults.update(kwargs)
-    return obs.build_manifest(
-        _session_with_activity(profiled=profiled), **defaults)
+    return obs.build_manifest(_session_with_activity(), **defaults)
 
 
 # -- a minimal exposition-format parser for round-trip checks ------------------
@@ -142,12 +137,6 @@ class TestJsonCsv:
         assert "stage.simulate/machine-run.seconds" in by_metric
         assert all(r[0] == "0" and r[1] == "simulate" for r in rows[1:])
 
-    def test_csv_includes_profile_rows(self):
-        session = _session_with_activity(profiled=True)
-        manifest = obs.build_manifest(session, command="simulate", seed=3)
-        text = manifests_to_csv([manifest])
-        assert "profile.fake.hotpath.calls" in text
-
 
 class TestPrometheusWriter:
     def test_counter_gets_total_suffix(self):
@@ -181,8 +170,7 @@ class TestPrometheusWriter:
 
 class TestManifestExposition:
     def test_round_trips_through_parser(self):
-        session = _session_with_activity(profiled=True)
-        manifest = obs.build_manifest(session, command="simulate", seed=3)
+        manifest = _manifest()
         parsed = parse_openmetrics(manifests_to_prometheus([manifest]))
         families = parsed["families"]
         assert families["repro_run_wall_seconds"] == "gauge"
@@ -190,7 +178,6 @@ class TestManifestExposition:
         assert families["repro_events"] == "counter"
         assert families["repro_sim_events_fired"] == "counter"
         assert families["repro_sim_latency"] == "summary"
-        assert families["repro_profile_calls"] == "counter"
         by_name = {}
         for name, labels, value in parsed["samples"]:
             by_name.setdefault(name, []).append((labels, value))
@@ -205,8 +192,6 @@ class TestManifestExposition:
         }
         assert set(quantiles) == {"0.5", "0.9", "0.99"}
         assert quantiles["0.5"] == pytest.approx(50.5)
-        [(labels, _)] = by_name["repro_profile_calls_total"]
-        assert labels["hotpath"] == "fake.hotpath"
 
     def test_summary_count_and_sum(self):
         text = manifests_to_prometheus([_manifest()])
@@ -229,11 +214,10 @@ class TestManifestExposition:
             manifests_to_prometheus([])
 
     def test_session_export(self):
-        session = _session_with_activity(profiled=True)
-        parsed = parse_openmetrics(session_to_prometheus(session))
+        parsed = parse_openmetrics(
+            session_to_prometheus(_session_with_activity()))
         assert "repro_sim_latency" in parsed["families"]
-        assert "repro_profile_calls" in parsed["families"]
-        assert "repro_process_peak_rss_bytes" in parsed["families"]
+        assert "repro_sim_events_fired" in parsed["families"]
 
 
 _LEGAL_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
