@@ -146,6 +146,7 @@ class OnlineAgingMonitor:
         max_scale = float(band.arguments["max_scale"])
         _scale_band(band.arguments["min_scale"], max_scale,
                     band.arguments["n_scales"])
+        check_positive_int(band.arguments["dog_order"], name="dog_order")
         # The Hölder estimator needs max_scale <= history / 4.
         if self.history < 4 * max_scale:
             raise AnalysisError(
@@ -280,6 +281,12 @@ class OnlineAgingMonitor:
         is consumed.
         """
         t, v = self.check_batch(times, values)
+        return self._update_checked(t, v)
+
+    def _update_checked(self, t: np.ndarray, v: np.ndarray) -> bool:
+        """:meth:`update_many` on a batch that :meth:`check_batch` has
+        already returned (a caller that validated a longer run once hands
+        its pieces here)."""
         i, n = 0, int(t.size)
         while i < n:
             k = self.samples_to_emit

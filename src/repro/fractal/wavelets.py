@@ -16,6 +16,13 @@ Continuous side
 * :func:`cwt` — FFT-based continuous transform with Mexican-hat (DOG-2),
   general derivative-of-Gaussian, or Morlet wavelets; the substrate for
   the wavelet-modulus local Hölder estimator.
+* :func:`_cwt_even_dog` — the same transform for an even-order DOG
+  wavelet as one real-even DCT pair: the reflect-padded segment is
+  half-sample symmetric and the kernel spectrum is real and even, so
+  the circular convolution's first ``n`` samples are an inverse DCT-II
+  of the DCT-II times the kernels.  It agrees with :func:`cwt` to
+  ~1e-15 relative (not bit for bit) in under a third of the time;
+  only :func:`repro.core.holder.holder_tail`'s truncated segment uses it.
 
 Repeated transforms over the same (padded size, wavelet, scale band) —
 the shape of every sliding-window and online workload — reuse a cached
@@ -442,3 +449,33 @@ def cwt(
     if wavelet == "morlet":
         return conv
     return conv.real.copy()
+
+
+def _cwt_even_dog(x: np.ndarray, scales_arr: np.ndarray,
+                  dog_order: int) -> np.ndarray:
+    """:func:`cwt` of a validated ``x`` with the DOG wavelet of even
+    ``dog_order``, computed as one real-even DCT pair.
+
+    :func:`cwt` reflect-pads to ``[x, reversed x]``, a half-sample
+    symmetric signal whose spectrum is ``exp(i pi k / 2n)`` times the
+    DCT-II of ``x``.  An even-order DOG kernel spectrum is real and
+    even, so the convolution stays half-sample symmetric and its first
+    ``n`` samples are the inverse DCT-II of ``dct(x) * K[:, :n]``, with
+    ``K`` the cached 2n-point plan's kernels (read through a ``.real``
+    view: no second kernel array, no second cache).  Equal to
+    :func:`cwt` to ~1e-15 relative, not bit for bit.
+    """
+    # Imported here: only the online monitor's emit takes this route,
+    # so campaign workers never load scipy.fft.
+    import scipy.fft
+
+    n = x.size
+    size = 2 * n
+    plan = _wavelet_plan(size, "dog", dog_order, scales_arr)
+    # FLOP proxy on cwt's scale: each n-point real-even transform (the
+    # forward DCT and one inverse per scale) counts as a quarter of the
+    # 2n-point complex FFT it replaces.
+    _obs.counter("fractal.cwt_flops").inc(
+        (scales_arr.size + 1) * size * math.log2(size) / 4)
+    return scipy.fft.idct(scipy.fft.dct(x, type=2) * plan.kernels[:, :n].real,
+                          type=2, axis=1)

@@ -251,8 +251,9 @@ class LiveWatcher:
         is taken in pieces that end at the next ``status`` heartbeat or
         the next indicator point; per piece, only ``sample`` events (with
         a recorder) and alert rules (with an engine) look at each sample,
-        and the monitor takes the piece in one
-        :meth:`~repro.core.online.OnlineAgingMonitor.update_many` call.
+        and the monitor takes the piece as one
+        :meth:`~repro.core.online.OnlineAgingMonitor.update_many` would,
+        without re-validating it: the whole run was checked once.
         Unlike a :meth:`feed` loop, a run that is out of time order (once
         its gaps are dropped) is rejected whole, before anything is
         consumed.
@@ -306,7 +307,8 @@ class LiveWatcher:
                 last -= last % every
                 if last >= first:
                     self._last_t = float(t[i + last - first])
-            self.monitor.update_many(t[i:stop], v[i:stop])
+            # The whole run passed check_batch above: skip re-checking.
+            self.monitor._update_checked(t[i:stop], v[i:stop])
             if beat:
                 self._last_status_t = float(t[stop - 1])
                 self._emit_status(self._last_status_t)

@@ -2,13 +2,17 @@
 monitor's fast paths, checked against the full-window
 :func:`~repro.core.holder.wavelet_holder` oracle directly."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.core import online
+from repro.core import holder, online
 from repro.core.holder import SUPPORT_MARGIN, holder_tail, wavelet_holder
 from repro.core.online import OnlineAgingMonitor
 from repro.exceptions import AnalysisError, ValidationError
+from repro.fractal.wavelets import cwt
 from repro.generators import fbm
 from repro.obs import session as _obs
 
@@ -28,6 +32,13 @@ def _cwt_flops(fn, *args, **kwargs):
     with _obs.telemetry_session() as session:
         fn(*args, **kwargs)
         return session.metrics.counter("fractal.cwt_flops").value
+
+
+def _real_even_flops(segment, n_scales):
+    """FLOP proxy of the real-even DCT route over ``segment`` samples: the
+    complex route's ``(n_scales + 1) * 2n * log2(2n)``, quartered."""
+    size = 2 * segment
+    return (n_scales + 1) * size * math.log2(size) / 4
 
 
 class TestHolderTail:
@@ -70,19 +81,54 @@ class TestHolderTail:
         segment = 512 + 32 + int(SUPPORT_MARGIN * 32)
         assert segment == 864
         x = np.cumsum(np.random.default_rng(3).normal(size=4096))
-        # One CWT over exactly the segment: the FLOP proxy grows strictly
-        # with the transformed length.
-        assert _cwt_flops(holder_tail, x, 512) == pytest.approx(
-            _cwt_flops(wavelet_holder, x[-segment:]))
+        # One real-even transform over exactly the segment: the FLOP
+        # proxy grows strictly with the transformed length, so a segment
+        # one sample off misses it.
+        flops = _cwt_flops(holder_tail, x, 512)
+        assert flops == pytest.approx(_real_even_flops(864, 12))
+        for off_by_one in (863, 865):
+            assert flops != pytest.approx(_real_even_flops(off_by_one, 12))
+        # An odd order keeps the complex route over the same segment.
+        assert _cwt_flops(holder_tail, x, 512, dog_order=3) == pytest.approx(
+            _cwt_flops(wavelet_holder, x[-segment:], dog_order=3))
         # At the segment length itself nothing is truncated.
         np.testing.assert_array_equal(holder_tail(x[-segment:], 512),
                                       wavelet_holder(x[-segment:])[-512:])
         # Tiny configurations keep the estimator's 64-sample floor.
         y = x[-100:]
-        assert _cwt_flops(holder_tail, y, 8, min_scale=1.0,
-                          max_scale=2.0, n_scales=3) == pytest.approx(
-            _cwt_flops(wavelet_holder, y[-64:], min_scale=1.0,
-                       max_scale=2.0, n_scales=3))
+        flops = _cwt_flops(holder_tail, y, 8, min_scale=1.0, max_scale=2.0,
+                           n_scales=3)
+        assert flops == pytest.approx(_real_even_flops(64, 3))
+        for off_by_one in (63, 65):
+            assert flops != pytest.approx(_real_even_flops(off_by_one, 3))
+
+    @pytest.mark.parametrize("dog_order", [1, 3])
+    def test_odd_orders_stay_on_complex_route(self, monkeypatch, dog_order):
+        x = np.cumsum(np.random.default_rng(8).normal(size=3000))
+        expected = holder_tail(x, 256, dog_order=dog_order)
+        monkeypatch.setattr(holder, "_cwt_even_dog", _complex_route)
+        np.testing.assert_array_equal(
+            holder_tail(x, 256, dog_order=dog_order), expected)
+
+    def test_wavelet_holder_stays_on_complex_route(self, monkeypatch):
+        x = np.cumsum(np.random.default_rng(9).normal(size=3000))
+        expected = wavelet_holder(x)
+        monkeypatch.setattr(holder, "_cwt_even_dog", _complex_route)
+        np.testing.assert_array_equal(wavelet_holder(x), expected)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"min_scale": 0.0}, "min_scale"),
+        ({"min_scale": -1.0}, "min_scale"),
+        ({"min_scale": float("nan")}, "min_scale"),
+        ({"max_scale": float("nan")}, "max_scale"),
+        ({"max_scale": float("inf")}, "max_scale"),
+    ])
+    def test_bad_scales_rejected_by_name(self, kwargs, name):
+        x = np.cumsum(np.random.default_rng(1).normal(size=256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=name):
+                holder_tail(x, 10, **kwargs)
 
     def test_validation(self):
         x = np.cumsum(np.random.default_rng(1).normal(size=256))
@@ -96,6 +142,11 @@ class TestHolderTail:
             holder_tail(x[:32], 16)
         with pytest.raises(ValidationError):
             holder_tail(np.r_[x, np.nan], 64)
+
+
+def _complex_route(x, scales, dog_order):
+    """The real-even route's stand-in: the shared complex-FFT ``cwt``."""
+    return cwt(x, scales, wavelet="dog", dog_order=dog_order)
 
 
 def _drifting_signal(n, seed=7):
@@ -145,6 +196,19 @@ class TestMonitorEngines:
                                               "max_scale": 4.0})
         with pytest.raises(ValidationError):
             OnlineAgingMonitor(holder_kwargs={"n_scales": 2})
+
+    @pytest.mark.parametrize("holder_kwargs,name", [
+        ({"dog_order": 0}, "dog_order"),
+        ({"dog_order": 2.0}, "dog_order"),
+        ({"min_scale": 0.0}, "min_scale"),
+        ({"min_scale": -1.0}, "min_scale"),
+        ({"max_scale": float("nan")}, "max_scale"),
+    ])
+    def test_bad_band_or_order_rejected_before_any_sample(self, holder_kwargs,
+                                                          name):
+        # Construction fails, not the first emit thousands of samples in.
+        with pytest.raises(ValidationError, match=name):
+            OnlineAgingMonitor(holder_kwargs=holder_kwargs)
 
 
 class TestMonitorOracle:

@@ -279,3 +279,54 @@ class TestWaveletPlanCache:
         cwt(rng.standard_normal(128), [2.0, 4.0])
         plan = next(iter(_PLAN_CACHE.values()))
         assert not plan.kernels.flags.writeable
+
+
+class TestRealEvenRoute:
+    """The even-order DOG transform as one real-even DCT pair agrees with
+    the complex-FFT :func:`cwt` on the same segment."""
+
+    @pytest.mark.parametrize("n", [64, 65, 863, 864])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("min_scale", [2.0, 1.0])
+    def test_matches_cwt(self, n, order, min_scale):
+        from repro.fractal.wavelets import _cwt_even_dog
+
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        scales = np.geomspace(min_scale, 32.0, 12)
+        expected = cwt(x, scales, wavelet="dog", dog_order=order)
+        got = _cwt_even_dog(x, scales, order)
+        assert got.shape == expected.shape and got.dtype == float
+        # Relative to each scale's largest coefficient (single
+        # coefficients cross zero).
+        peak = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-12 * peak)
+
+    def test_counts_a_quarter_of_the_complex_flops(self):
+        from repro.fractal.wavelets import _cwt_even_dog
+        from repro.obs import session as _obs
+
+        x = np.cumsum(np.random.default_rng(2).standard_normal(864))
+        scales = np.geomspace(2.0, 32.0, 12)
+        flops = []
+        for transform in (lambda: cwt(x, scales, wavelet="dog"),
+                          lambda: _cwt_even_dog(x, scales, 2)):
+            with _obs.telemetry_session() as session:
+                transform()
+                flops.append(
+                    session.metrics.counter("fractal.cwt_flops").value)
+        assert flops[1] == pytest.approx(flops[0] / 4)
+
+    def test_shares_the_plan_cache(self):
+        from repro.fractal.wavelets import (
+            _cwt_even_dog,
+            clear_wavelet_plan_cache,
+            wavelet_plan_cache_info,
+        )
+
+        clear_wavelet_plan_cache()
+        x = np.random.default_rng(3).standard_normal(128)
+        cwt(x, [2.0, 4.0], wavelet="dog")
+        _cwt_even_dog(x, np.array([2.0, 4.0]), 2)
+        info = wavelet_plan_cache_info()
+        assert (info["entries"], info["misses"], info["hits"]) == (1, 1, 1)
+        clear_wavelet_plan_cache()
